@@ -585,17 +585,15 @@ sampleMatrix(std::uint64_t seed, int variants)
                                  "limitless"};
     static const int PROCS[] = {1, 3, 8};
     static const int LINES[] = {32, 64};
-    static const char* CONCS[] = {"sharded", "global"};
 
     Rng rng(mix(seed, 0xC0F16));
     for (int i = 0; i < variants; ++i) {
         ConfigPoint pt;
         if (i == 0) {
-            // Always exercise sharded locking across processes, with
-            // the race oracle armed so every seed is race-checked, and
-            // spans armed so every seed proves span timing-neutrality.
+            // Always exercise three processes, with the race oracle
+            // armed so every seed is race-checked, and spans armed so
+            // every seed proves span timing-neutrality.
             pt.processes = 3;
-            pt.concurrency = "sharded";
             pt.race = true;
             pt.spans = true;
             pt.accuracy = true;
@@ -604,15 +602,14 @@ sampleMatrix(std::uint64_t seed, int variants)
             pt.lineSize = LINES[rng.nextBounded(2)];
         } else {
             pt.processes = PROCS[rng.nextBounded(3)];
-            pt.concurrency = CONCS[rng.nextBounded(2)];
             pt.syncModel = SYNCS[rng.nextBounded(3)];
             pt.directoryType = DIRS[rng.nextBounded(3)];
             pt.lineSize = LINES[rng.nextBounded(2)];
         }
         pt.slack = rng.nextBounded(2) == 0 ? 2000 : 100000;
-        pt.name = strfmt("p{}_{}_{}_l{}_{}{}{}{}", pt.processes,
+        pt.name = strfmt("p{}_{}_{}_l{}{}{}{}", pt.processes,
                          pt.syncModel, pt.directoryType, pt.lineSize,
-                         pt.concurrency, pt.race ? "_race" : "",
+                         pt.race ? "_race" : "",
                          pt.spans ? "_span" : "",
                          pt.accuracy ? "_acc" : "");
         points.push_back(std::move(pt));
@@ -632,7 +629,6 @@ makeFuzzConfig(const ConfigPoint& pt, std::uint64_t seed,
     cfg.setInt("sync/slack", static_cast<std::int64_t>(pt.slack));
     cfg.set("caching_protocol/directory_type", pt.directoryType);
     cfg.setInt("caching_protocol/max_sharers", 2);
-    cfg.set("mem/host_concurrency", pt.concurrency);
     // Deliberately tiny caches: the program working set must not fit,
     // or capacity evictions (and the dirty-writeback path) never run.
     for (const char* l1 :
@@ -652,6 +648,11 @@ makeFuzzConfig(const ConfigPoint& pt, std::uint64_t seed,
     // reporting than the shutdown fatal().
     cfg.setBool("check/validate_at_shutdown", false);
     cfg.set("check/inject_fault", fault_mode);
+    // Whether an injected fault surfaces depends on the interleaving, so
+    // faulty runs use the deterministic scheduler: a drill then detects
+    // (or misses) each mode at the same seed on every host.
+    if (fault_mode != "none")
+        cfg.set("host/scheduler", "deterministic");
     cfg.setInt("check/fault_after", 4);
     cfg.setInt("check/fault_addr_below",
                static_cast<std::int64_t>(AddressSpaceLayout::MMAP_BASE));

@@ -102,7 +102,6 @@ struct ConfigPoint
     cycle_t slack = 100000; ///< LaxP2P only
     std::string directoryType = "full_map";
     int lineSize = 64;
-    std::string concurrency = "global";
     /** Arm the happens-before race detector (src/race). Fuzz programs
      *  are race-free by construction, so any report is a violation —
      *  either a detector false positive or a missing sync edge. */
@@ -125,10 +124,9 @@ ConfigPoint baselinePoint();
 /**
  * Baseline plus @p variants seed-sampled points over
  * {1,3,8 processes} x {lax, lax_barrier, lax_p2p} x
- * {full_map, limited_no_broadcast, limitless} x {32,64-byte lines} x
- * {sharded, global}. The first variant always enables sharded locking
- * on 3 processes so every seed exercises cross-process + concurrent
- * paths.
+ * {full_map, limited_no_broadcast, limitless} x {32,64-byte lines}.
+ * The first variant always runs 3 processes so every seed exercises
+ * cross-process + concurrent paths.
  */
 std::vector<ConfigPoint> sampleMatrix(std::uint64_t seed, int variants);
 

@@ -45,6 +45,12 @@ checkConservation(Simulator& sim)
         out.push_back(strfmt("counter sum: per-tile L2 misses {} != "
                              "aggregate {}",
                              l2_misses, agg_l2));
+    // Every access, atomics included, records exactly one latency.
+    stat_t recorded = mem.accessLatencyHistogram().count();
+    if (recorded != agg_accesses)
+        out.push_back(strfmt("latency histogram: {} samples for {} "
+                             "accesses",
+                             recorded, agg_accesses));
 
     // Every packet the fabric timed was classified as exactly one of
     // intra-/inter-process, and its bytes likewise.

@@ -55,15 +55,19 @@ namespace
 
 constexpr int MAX_HELD = 64;
 
-// One lock currently held by a thread. `depth` below is bumped with
-// release ordering after the entry is fully written so that the racy
-// heldSnapshot() reader sees complete entries.
+// One held-set entry: a single lock, or an ascending run of one
+// ORDERED class (a sweep that takes a lock per tile or home), which
+// keeps only its last mutex, last instance and site, plus a count.
+// `depth` below is bumped with release ordering after the entry is
+// fully written so that the racy heldSnapshot() reader sees complete
+// entries.
 struct Entry {
     const OrderedMutex* mutex;
     LockClass cls;
     std::int64_t instance;
     const char* file;
     int line;
+    int count;
 };
 
 struct ThreadState {
@@ -73,6 +77,9 @@ struct ThreadState {
     std::atomic<bool> waiting{false}; // blocked acquiring `pending`
     Entry pending{};
     std::uint64_t threadId = 0;
+    // Locks taken while the held-set was full; they go unchecked.
+    int untracked = 0;
+    bool bookkeepingReported = false;
 };
 
 // Global registry of per-thread states for heldSnapshot(). States are
@@ -109,6 +116,8 @@ struct ThreadHandle {
     {
         if (state != nullptr) {
             state->depth.store(0, std::memory_order_relaxed);
+            state->untracked = 0;
+            state->bookkeepingReported = false;
             state->waiting.store(false, std::memory_order_relaxed);
             state->alive.store(false, std::memory_order_release);
         }
@@ -217,8 +226,9 @@ describeHeld(const ThreadState& ts)
     int depth = ts.depth.load(std::memory_order_acquire);
     for (int i = 0; i < depth && i < MAX_HELD; ++i) {
         const Entry& e = ts.held[i];
-        out += strfmt("\n    [{}] '{}' instance {} acquired at {}:{}", i,
+        out += strfmt("\n    [{}] '{}' instance {}{} acquired at {}:{}", i,
                       lockClassName(e.cls), e.instance,
+                      e.count > 1 ? strfmt(" (last of {})", e.count) : "",
                       e.file != nullptr ? e.file : "?", e.line);
     }
     return out;
@@ -326,53 +336,96 @@ checkAcquire(ThreadState& ts, LockClass cls, std::int64_t instance,
     }
 }
 
+// A held-set bookkeeping failure (overflow, or releasing a lock the
+// set does not hold) is a lockdep limit, not a lock-order bug in the
+// program: report it once per thread and keep running unchecked.
+void
+reportBookkeeping(ThreadState& ts, const std::string& what)
+{
+    if (mode() == Mode::Off || ts.bookkeepingReported)
+        return;
+    ts.bookkeepingReported = true;
+    g_violations.fetch_add(1, std::memory_order_relaxed);
+    std::string msg = "lockdep: " + what +
+                      "; this thread's further locks go unchecked\n"
+                      "  held-set (outermost first):" +
+                      describeHeld(ts) + "\n";
+    {
+        std::scoped_lock lock(reportMutex());
+        lastReportStorage() = msg;
+    }
+    std::fputs(msg.c_str(), stderr);
+    std::fflush(stderr);
+}
+
 void
 push(ThreadState& ts, const OrderedMutex* m, LockClass cls,
      std::int64_t instance, const char* file, int line)
 {
     int depth = ts.depth.load(std::memory_order_relaxed);
-    if (depth >= MAX_HELD) {
-        std::fprintf(stderr,
-                     "lockdep: held-set overflow (depth %d) acquiring "
-                     "'%s' at %s:%d\n",
-                     depth, lockClassName(cls), file, line);
-        std::fflush(stderr);
-        std::_Exit(87);
+    if (depth > 0) {
+        Entry& top = ts.held[depth - 1];
+        if (top.cls == cls && instance > top.instance &&
+            lockClassFlags(cls) == ClassFlags::ORDERED) {
+            top = {m, cls, instance, file, line, top.count + 1};
+            return;
+        }
     }
-    Entry& e = ts.held[depth];
-    e.mutex = m;
-    e.cls = cls;
-    e.instance = instance;
-    e.file = file;
-    e.line = line;
+    if (depth >= MAX_HELD) {
+        reportBookkeeping(ts, strfmt("held-set overflow (depth {}) "
+                                     "acquiring '{}' at {}:{}",
+                                     depth, lockClassName(cls), file,
+                                     line));
+        ++ts.untracked;
+        return;
+    }
+    ts.held[depth] = {m, cls, instance, file, line, 1};
     ts.depth.store(depth + 1, std::memory_order_release);
 }
 
 void
 pop(ThreadState& ts, const OrderedMutex* m)
 {
+    // The entry naming this mutex, else a run of its class: a run
+    // names only its last mutex (nullptr once that one is released),
+    // so its other members match by class.
     int depth = ts.depth.load(std::memory_order_relaxed);
-    for (int i = depth - 1; i >= 0; --i) {
-        if (ts.held[i].mutex == m) {
-            for (int j = i; j < depth - 1; ++j)
-                ts.held[j] = ts.held[j + 1];
-            ts.depth.store(depth - 1, std::memory_order_release);
+    int hit = depth - 1;
+    while (hit >= 0 && ts.held[hit].mutex != m)
+        --hit;
+    if (hit < 0) {
+        hit = depth - 1;
+        while (hit >= 0 && !(ts.held[hit].cls == m->lockClass() &&
+                             (ts.held[hit].count > 1 ||
+                              ts.held[hit].mutex == nullptr)))
+            --hit;
+    }
+    if (hit >= 0) {
+        Entry& e = ts.held[hit];
+        if (--e.count > 0) {
+            if (e.mutex == m)
+                e.mutex = nullptr;
             return;
         }
+        for (int j = hit; j < depth - 1; ++j)
+            ts.held[j] = ts.held[j + 1];
+        ts.depth.store(depth - 1, std::memory_order_release);
+        return;
     }
-    std::fprintf(stderr,
-                 "lockdep: unlocking '%s' which this thread does not "
-                 "hold\n",
-                 lockClassName(m->lockClass()));
-    std::fflush(stderr);
-    std::_Exit(87);
+    if (ts.untracked > 0) {
+        --ts.untracked;
+        return;
+    }
+    reportBookkeeping(ts, strfmt("unlocking '{}' which this thread "
+                                 "does not hold",
+                                 lockClassName(m->lockClass())));
 }
 
 void
 beginPending(ThreadState& ts, const OrderedMutex* m, const char* file,
              int line)
 {
-    ts.pending = {m, m->lockClass(), m->instance(), file, line};
+    ts.pending = {m, m->lockClass(), m->instance(), file, line, 1};
     ts.waiting.store(true, std::memory_order_release);
 }
 
@@ -445,7 +498,8 @@ heldSnapshot()
         set.threadId = ts->threadId;
         for (int i = 0; i < depth && i < MAX_HELD; ++i) {
             const Entry& e = ts->held[i];
-            set.held.push_back({e.cls, e.instance, e.file, e.line});
+            set.held.push_back({e.cls, e.instance, e.file, e.line,
+                                e.count});
         }
         set.hasPending = waiting;
         if (waiting)
@@ -463,9 +517,10 @@ renderHeldSets(const char* indent)
     for (const ThreadHeldSet& set : heldSnapshot()) {
         out += strfmt("{}thread {}:", indent, set.threadId);
         for (const HeldLock& h : set.held) {
-            out += strfmt(" holds {}[{}]@{}:{}", lockClassName(h.cls),
-                          h.instance, h.file != nullptr ? h.file : "?",
-                          h.line);
+            out += strfmt(" holds {}[{}]{}@{}:{}", lockClassName(h.cls),
+                          h.instance,
+                          h.count > 1 ? strfmt("x{}", h.count) : "",
+                          h.file != nullptr ? h.file : "?", h.line);
         }
         if (set.hasPending) {
             out += strfmt(
@@ -517,7 +572,7 @@ fdDec(int fd, std::uint64_t v)
 
 void
 fdEntry(int fd, LockClass cls, std::int64_t instance, const char* file,
-        int line)
+        int line, int count)
 {
     fdStr(fd, lockClassName(cls));
     fdStr(fd, "[");
@@ -526,7 +581,12 @@ fdEntry(int fd, LockClass cls, std::int64_t instance, const char* file,
         instance = -instance;
     }
     fdDec(fd, static_cast<std::uint64_t>(instance));
-    fdStr(fd, "]@");
+    fdStr(fd, "]");
+    if (count > 1) {
+        fdStr(fd, "x");
+        fdDec(fd, static_cast<std::uint64_t>(count));
+    }
+    fdStr(fd, "@");
     fdStr(fd, file != nullptr ? file : "?");
     fdStr(fd, ":");
     fdDec(fd, static_cast<std::uint64_t>(line < 0 ? 0 : line));
@@ -562,12 +622,12 @@ dumpHeldSetsToFd(int fd)
         for (int j = 0; j < depth; ++j) {
             const Entry& e = ts->held[j];
             fdStr(fd, " holds ");
-            fdEntry(fd, e.cls, e.instance, e.file, e.line);
+            fdEntry(fd, e.cls, e.instance, e.file, e.line, e.count);
         }
         if (waiting) {
             fdStr(fd, " WAITING-FOR ");
             fdEntry(fd, ts->pending.cls, ts->pending.instance,
-                    ts->pending.file, ts->pending.line);
+                    ts->pending.file, ts->pending.line, 1);
         }
         fdStr(fd, "\n");
     }

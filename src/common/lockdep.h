@@ -20,6 +20,15 @@
 // environment, or lockdep::setMode().  "warn" records and logs
 // violations but keeps running (hierarchy bring-up); the default
 // enforcing mode prints both acquisition sites and exits with code 87.
+//
+// The per-thread held-set is fixed-size, but an ascending run of one
+// ORDERED class (a sweep taking one lock per tile or home) occupies a
+// single entry: same-class order checks compare against the run's last
+// instance, and a release matches the run by class.  A run remembers
+// its highest instance until it is fully released, so re-taking a lock
+// at or below it while the run is still partly held is reported.  If
+// the set does overflow, or a lock it does not hold is released, the
+// thread gets one report and keeps running with those locks unchecked.
 
 #ifndef GRAPHITE_COMMON_LOCKDEP_H
 #define GRAPHITE_COMMON_LOCKDEP_H
@@ -60,12 +69,15 @@ const char* lockClassName(LockClass cls);
 ClassFlags lockClassFlags(LockClass cls);
 
 // One entry of a thread's held-set, exported to the telemetry plane
-// (watchdog hang dumps, flight recorder) by heldSnapshot().
+// (watchdog hang dumps, flight recorder) by heldSnapshot(). An
+// ascending run of one ORDERED class is one entry: `instance` and the
+// site are its last lock's, `count` its length.
 struct HeldLock {
     LockClass cls;
     std::int64_t instance;
     const char* file;
     int line;
+    int count = 1;
 };
 
 struct ThreadHeldSet {

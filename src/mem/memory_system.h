@@ -19,14 +19,13 @@
  * stats, miss-classification state), so hits on lines the tile already
  * holds with sufficient permission complete without touching any shared
  * state. Per-home-tile shard locks guard the directory slice, the DRAM
- * controller, and the word-version shard homed at each tile; coherence
- * transactions acquire the shards they need in ascending id order, then
- * every involved tile lock (requester + current holders) in ascending id
- * order. See DESIGN.md §"Coherence-transaction serialization: the
- * shard scheme" for the full lock order and plan/validate/retry
- * protocol. Setting
- * config key `mem/host_concurrency = global` restores a single engine
- * mutex (the pre-shard behavior) for A/B benchmarking.
+ * controller, and the word-version shard homed at each tile. Reads,
+ * writes, fetches and atomics all run one transaction loop: plan under
+ * the tile lock, lock the shards it needs and then the requester and
+ * every current holder (each set in ascending id order), revalidate,
+ * and commit. Callers differ only in the hit action and in whether the
+ * L1 is looked up. See DESIGN.md §"Coherence-transaction
+ * serialization: the shard scheme" for the full lock order.
  */
 
 #pragma once
@@ -57,6 +56,11 @@ namespace graphite
 {
 
 class Config;
+
+namespace obs
+{
+enum class SpanKind : std::uint8_t;
+} // namespace obs
 
 namespace snapshot
 {
@@ -205,27 +209,27 @@ class MemorySystem
     }
     const atomic_stat_t* shardLockAcquisitionsCounter() const
     {
-        return &shardLockAcquisitions_;
+        return &shardLocks_.acquisitions;
     }
     const atomic_stat_t* shardLockContendedCounter() const
     {
-        return &shardLockContended_;
+        return &shardLocks_.contended;
     }
     const atomic_stat_t* shardLockWaitNsCounter() const
     {
-        return &shardLockWaitNs_;
+        return &shardLocks_.waitNs;
     }
     const atomic_stat_t* tileLockAcquisitionsCounter() const
     {
-        return &tileLockAcquisitions_;
+        return &tileLocks_.acquisitions;
     }
     const atomic_stat_t* tileLockContendedCounter() const
     {
-        return &tileLockContended_;
+        return &tileLocks_.contended;
     }
     const atomic_stat_t* tileLockWaitNsCounter() const
     {
-        return &tileLockWaitNs_;
+        return &tileLocks_.waitNs;
     }
     /** @} */
 
@@ -242,9 +246,6 @@ class MemorySystem
     /** Same, for the shard lock homed at @p tile. */
     void holdShardLockForTest(tile_id_t tile, std::uint64_t ns,
                               std::atomic<bool>* held = nullptr);
-
-    /** False when `mem/host_concurrency = global` pinned the old mutex. */
-    bool shardedLocking() const { return sharded_; }
 
     /** Home tile of the line containing @p addr. */
     tile_id_t homeTile(addr_t addr) const;
@@ -345,21 +346,22 @@ class MemorySystem
 
     addr_t lineAlign(addr_t a) const { return a & ~(lineSize_ - 1); }
 
-    /** The whole-engine mutex when `mem/host_concurrency = global`. */
-    lockdep::UniqueLock globalGuard();
-
-    /** Acquire a shard lock, recording contention statistics. */
-    lockdep::UniqueLock lockShard(Shard& shard,
-                                  const char* file = __builtin_FILE(),
-                                  int line = __builtin_LINE());
+    /** Contention counters of one lock level (shard or tile). */
+    struct LockStats
+    {
+        atomic_stat_t acquisitions{0};
+        atomic_stat_t contended{0};
+        atomic_stat_t waitNs{0};
+    };
 
     /**
-     * Acquire a tile's level-1 lock, recording contention statistics
-     * (try-lock first; only a lost race counts as contended).
+     * Acquire @p m, recording contention in @p stats (try-lock first;
+     * only a lost race counts as contended).
      */
-    lockdep::UniqueLock lockTile(TileMemory& tm,
-                                 const char* file = __builtin_FILE(),
-                                 int line = __builtin_LINE());
+    lockdep::UniqueLock lockCounted(lockdep::OrderedMutex& m,
+                                    LockStats& stats,
+                                    const char* file = __builtin_FILE(),
+                                    int line = __builtin_LINE());
 
     /**
      * Model one coherence message; returns its network latency. When
@@ -379,30 +381,36 @@ class MemorySystem
                             cycle_t start_time);
 
     /**
-     * Fast-forward line access: demote the line to the backing store
-     * on first touch, then serve the bytes straight from backing with
-     * zero modeled latency (no cache, directory-protocol, network or
-     * DRAM work).
+     * The coherence transaction every timed access runs: plan under the
+     * tile lock, lock the shards and holders, revalidate, commit.
+     * @p commit(CacheLine&) is the hit action, applied to a line held
+     * with enough permission; @p l1 is the L1 looked up first (nullptr
+     * to bypass it, as atomics do); @p kind labels the miss span.
      */
-    AccessResult accessLineFastForward(tile_id_t tile,
-                                       MemAccessType type, addr_t addr,
-                                       void* buf, size_t size);
+    template <class Commit>
+    AccessResult transact(tile_id_t tile, Cache* l1, bool is_write,
+                          addr_t addr, size_t size, cycle_t start_time,
+                          obs::SpanKind kind, Commit&& commit);
 
     /**
-     * Invalidate every cached copy of @p line_addr (merging a Modified
-     * owner's data into backing) and reset its directory entry to
-     * Uncached. Caller holds the line's home shard.
+     * Fast-forward line access: demote the line to the backing store,
+     * run @p op against backing with zero modeled latency (no cache,
+     * directory-protocol, network or DRAM work), and count the access.
      */
-    void demoteLineLocked(DirectoryEntry& entry, addr_t line_addr);
+    template <class Op>
+    AccessResult accessBacking(tile_id_t tile, addr_t addr, Op&& op);
 
     /**
-     * Complete the access if @p tile's caches already hold the line with
-     * sufficient permission (the fast path). Caller holds the tile lock.
-     * @return true when the access completed and @p res is filled.
+     * Lock @p line_addr's home shard, invalidate every cached copy
+     * (merging a Modified owner's data into backing) and reset the
+     * directory entry to Uncached.
+     * @return the held home-shard lock.
      */
-    bool tryCompleteLocal(tile_id_t tile, TileMemory& tm, Cache* l1,
-                          bool is_write, addr_t addr, void* buf,
-                          size_t size, AccessResult& res);
+    lockdep::UniqueLock lockHomeAndDemote(addr_t line_addr);
+
+    /** Append the line's owner and sharers to @p ids. */
+    static void appendHolders(const DirectoryEntry& entry,
+                              std::vector<tile_id_t>& ids);
 
     /** Commit stats for one finished line access. Tile lock held. */
     void finishAccess(TileMemory& tm, const AccessResult& res);
@@ -446,8 +454,13 @@ class MemorySystem
     void snapshotLoss(tile_id_t tile, addr_t line_addr,
                       EvictReason reason);
 
-    /** Fill L1 (D or I) with a Shared copy of the L2 line. */
-    void fillL1(Cache* l1, const CacheLine& l2line);
+    /**
+     * Keep a write-through L1 in step with its L2 line after an access
+     * to [@p addr, +@p size): allocate a Shared copy when absent, or
+     * copy a write's bytes into the present one.
+     */
+    void refreshL1(Cache* l1, const CacheLine& l2line, bool is_write,
+                   addr_t addr, size_t size);
 
     ClusterTopology topo_;
     NetworkFabric& fabric_;
@@ -457,10 +470,7 @@ class MemorySystem
     cycle_t dirLatency_;
     bool classify_;
     bool mesi_ = false;
-    bool sharded_ = true;
     std::atomic<bool> fastForward_{false};
-    lockdep::OrderedMutex globalMutex_{
-        lockdep::LockClass::mem_global}; ///< only used when !sharded_
     std::vector<TileMemory> tiles_;
     std::vector<Shard> shards_;
     HistogramStat accessLatency_;
@@ -470,12 +480,8 @@ class MemorySystem
     atomic_stat_t aggAccesses_{0};
     atomic_stat_t aggL2Misses_{0};
     atomic_stat_t aggWritebacks_{0};
-    atomic_stat_t shardLockAcquisitions_{0};
-    atomic_stat_t shardLockContended_{0};
-    atomic_stat_t shardLockWaitNs_{0};
-    atomic_stat_t tileLockAcquisitions_{0};
-    atomic_stat_t tileLockContended_{0};
-    atomic_stat_t tileLockWaitNs_{0};
+    LockStats shardLocks_;
+    LockStats tileLocks_;
 };
 
 } // namespace graphite

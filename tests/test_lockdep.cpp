@@ -3,10 +3,12 @@
  * Lockdep subsystem tests: planted AB/BA inversions are reported with
  * both acquisition sites the first time the wrong order *could*
  * deadlock (not when it actually does), ORDERED/MULTI class flags,
- * condvar wait release/reacquire discipline, held-set visibility for
- * the telemetry plane (snapshot render + crash-handler dump), the
- * zero-overhead disabled build, and fingerprint neutrality: arming
- * lockdep must not perturb simulated results.
+ * ascending ORDERED runs sharing one held-set entry, held-set overflow
+ * that reports without aborting, condvar wait release/reacquire
+ * discipline, held-set visibility for the telemetry plane (snapshot
+ * render + crash-handler dump), the zero-overhead disabled build, and
+ * fingerprint neutrality: arming lockdep must not perturb simulated
+ * results.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -215,6 +218,131 @@ TEST_F(LockdepWarn, OrderedClassRequiresAscendingInstances)
     EXPECT_EQ(lockdep::violationCount(), 1u);
     EXPECT_NE(lockdep::lastReport().find("ascending instance"),
               std::string::npos);
+}
+
+/// This thread's held-set as the telemetry plane sees it.
+std::vector<lockdep::HeldLock>
+myHeldSet()
+{
+    auto self = static_cast<std::uint64_t>(pthread_self());
+    for (const lockdep::ThreadHeldSet& s : lockdep::heldSnapshot())
+        if (s.threadId == self)
+            return s.held;
+    return {};
+}
+
+std::vector<std::unique_ptr<lockdep::OrderedMutex>>
+makeLocks(LockClass cls, int n)
+{
+    std::vector<std::unique_ptr<lockdep::OrderedMutex>> locks;
+    for (int i = 0; i < n; ++i)
+        locks.push_back(std::make_unique<lockdep::OrderedMutex>(cls, i));
+    return locks;
+}
+
+TEST_F(LockdepWarn, AscendingSweepTakesOneHeldSetEntry)
+{
+    LOCKDEP_REQUIRE_ARMED();
+#if defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "ThreadSanitizer's own deadlock detector aborts when "
+                    "a thread holds more than 64 mutexes";
+#endif
+    // A quiesce sweep at 1024 tiles: every shard, then every tile. Far
+    // past the fixed held-set size, yet two entries and no report.
+    constexpr int N = 2048;
+    auto shards = makeLocks(LockClass::mem_shard, N);
+    auto tiles = makeLocks(LockClass::mem_tile, N);
+    for (auto& m : shards)
+        m->lock();
+    for (auto& m : tiles)
+        m->lock();
+    std::vector<lockdep::HeldLock> held = myHeldSet();
+    ASSERT_EQ(held.size(), 2u);
+    EXPECT_EQ(held[0].cls, LockClass::mem_shard);
+    EXPECT_EQ(held[1].cls, LockClass::mem_tile);
+    EXPECT_EQ(held[1].instance, N - 1);
+    EXPECT_EQ(held[1].count, N);
+    EXPECT_NE(lockdep::renderHeldSets().find("mem_tile[2047]x2048"),
+              std::string::npos);
+    for (auto& m : shards)
+        m->unlock();
+    for (auto& m : tiles)
+        m->unlock();
+    EXPECT_TRUE(myHeldSet().empty());
+    EXPECT_EQ(lockdep::violationCount(), 0u);
+}
+
+TEST_F(LockdepWarn, DescendingAcquisitionInsideRunReported)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    auto tiles = makeLocks(LockClass::mem_tile, 10);
+    tiles[1]->lock();
+    tiles[5]->lock();
+    tiles[9]->lock();
+    EXPECT_EQ(lockdep::violationCount(), 0u);
+    tiles[3]->lock(); // below the run's last instance
+    EXPECT_EQ(lockdep::violationCount(), 1u);
+    EXPECT_NE(lockdep::lastReport().find("ascending instance"),
+              std::string::npos);
+    for (int i : {1, 3, 5, 9})
+        tiles[i]->unlock();
+    EXPECT_TRUE(myHeldSet().empty());
+}
+
+TEST_F(LockdepWarn, RunReleasesInAnyOrder)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    auto tiles = makeLocks(LockClass::mem_tile, 8);
+    for (const auto& order : std::vector<std::vector<int>>{
+             {0, 1, 2, 3, 4, 5, 6, 7},
+             {7, 6, 5, 4, 3, 2, 1, 0},
+             {3, 7, 0, 5, 1, 6, 2, 4}}) {
+        for (auto& m : tiles)
+            m->lock();
+        ASSERT_EQ(myHeldSet().size(), 1u);
+        for (int i : order)
+            tiles[i]->unlock();
+        EXPECT_TRUE(myHeldSet().empty());
+        // Fully released: the next sweep starts from scratch.
+        tiles[0]->lock();
+        tiles[0]->unlock();
+    }
+    EXPECT_EQ(lockdep::violationCount(), 0u);
+}
+
+TEST(LockdepOverflow, ReportsOnceAndKeepsRunning)
+{
+    LOCKDEP_REQUIRE_ARMED();
+    // Enforcing mode, fork-isolated: a held-set overflow must neither
+    // exit the process nor lose track of the locks it can still see.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        lockdep::resetForTest();
+        lockdep::setMode(Mode::Enforce);
+        // MULTI locks never merge into a run: one entry each.
+        auto locks = makeLocks(LockClass::app_target, 80);
+        for (auto& m : locks)
+            m->lock();
+        bool ok = lockdep::violationCount() == 1 &&
+                  lockdep::lastReport().find("held-set overflow") !=
+                      std::string::npos;
+        for (auto& m : locks) // tracked ones first, untracked last
+            m->unlock();
+        ok = ok && myHeldSet().empty() && lockdep::violationCount() == 1;
+        // Checking resumes once the set has room again.
+        lockdep::OrderedMutex a(LockClass::race_records);
+        lockdep::OrderedMutex b(LockClass::span_sink);
+        {
+            lockdep::Guard gb(b);
+            lockdep::Guard ga(a); // inversion: exits 87 if checked
+        }
+        std::_Exit(ok ? 3 : 4);
+    }
+    int status = reapWithTimeout(pid, 30);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 87)
+        << "3: checking did not resume; 4: overflow mishandled";
 }
 
 TEST_F(LockdepWarn, MultiClassNestsInAnyOrder)

@@ -282,35 +282,6 @@ TEST(MemConcurrency, EvictionStorm)
     expectAggregatesConsistent(f, kThreads);
 }
 
-// The global-mutex compatibility mode must produce the same invariants
-// (it is the baseline the contention benchmark compares against).
-TEST(MemConcurrency, GlobalModeStillCoherent)
-{
-    Config overrides;
-    overrides.set("mem/host_concurrency", "global");
-    MemFixture f(4, overrides);
-    ASSERT_FALSE(f.mem->shardedLocking());
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 4; ++i) {
-        threads.emplace_back([&f, i] {
-            Rng rng(3 + i);
-            for (int it = 0; it < kIters / 4; ++it) {
-                addr_t addr =
-                    SHARED_BASE + (rng.next() % 4) * f.mem->lineSize();
-                std::uint64_t v = rng.next();
-                f.mem->access(i, MemAccessType::Write, addr, &v, 8, it);
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-
-    EXPECT_EQ(f.mem->validateCoherence(), "");
-    EXPECT_EQ(sumTileAccesses(f, 4),
-              static_cast<stat_t>(4) * (kIters / 4));
-    expectAggregatesConsistent(f, 4);
-}
-
 // Shard-lock contention statistics must be plausible: acquisitions
 // cover at least every L2 miss, and contended <= acquisitions.
 TEST(MemConcurrency, ContentionStatsSane)

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "common/strfmt.h"
 #include "mem/memory_system.h"
 
 namespace graphite
@@ -273,6 +274,100 @@ TEST(Atomics, RmwIsOneTransaction)
     f.mem->access(0, MemAccessType::Read, A, &now, 4, 0);
     EXPECT_EQ(now, 15u);
     EXPECT_EQ(f.mem->validateCoherence(), "");
+}
+
+/**
+ * One atomic per coherence state of the target line, under MSI and
+ * MESI. Each row pins the atomic's latency, the requester's stats and
+ * the resulting cache and directory states, so every transition of the
+ * shared transaction path is held to exact numbers.
+ */
+struct AtomicGoldenCase
+{
+    const char* protocol;
+    const char* state;
+    const char* expected;
+};
+
+std::string
+atomicGoldenRow(const AtomicGoldenCase& c)
+{
+    Config over;
+    over.set("caching_protocol/type", c.protocol);
+    MemFixture f(4, over);
+    std::uint32_t init = 10;
+    f.mem->writeCoherent(A, &init, 4);
+    const std::string state = c.state;
+    if (state == "hit_M") {
+        f.write64(0, A, 10);
+    } else if (state == "upgrade_S") {
+        f.read64(0, A);
+        f.read64(1, A);
+    } else if (state == "shared_by_others") {
+        f.read64(1, A);
+        f.read64(2, A);
+    } else if (state == "modified_elsewhere") {
+        f.write64(2, A, 10);
+    }
+    auto r = f.mem->atomicRmw(
+        0, A, 4, [](std::uint64_t v) { return v + 5; }, 100);
+    EXPECT_EQ(f.mem->validateCoherence(), "");
+    EXPECT_EQ(f.mem->accessLatencyHistogram().count(),
+              f.mem->totalAccessesCounter()->load());
+
+    const TileMemoryStats& s = f.mem->stats(0);
+    const DirectoryEntry* e = f.mem->directory(f.mem->homeTile(A)).peek(A);
+    auto l2state = [&](tile_id_t t) {
+        const CacheLine* line = f.mem->l2(t).find(A);
+        return line == nullptr ? 0 : static_cast<int>(line->state);
+    };
+    return strfmt("lat={} old={} acc={} totlat={} cold={} upg={} inv={} "
+                  "rec={} l2miss={} l2=[{},{},{}] dir={} owner={} "
+                  "sharers={}",
+                  r.latency, r.oldValue, s.totalAccesses, s.totalLatency,
+                  s.l2ColdMisses, s.l2UpgradeMisses, s.invalidationsSent,
+                  s.recalls, f.mem->l2(0).misses(), l2state(0),
+                  l2state(1), l2state(2), static_cast<int>(e->state()),
+                  e->owner(), e->numSharers());
+}
+
+TEST(Atomics, GoldenPerCoherenceState)
+{
+    const AtomicGoldenCase cases[] = {
+        {"dir_msi", "hit_M",
+         "lat=9 old=10 acc=2 totlat=200 cold=1 upg=0 "
+         "inv=0 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_msi", "upgrade_S",
+         "lat=169 old=10 acc=2 totlat=360 cold=1 upg=1 "
+         "inv=1 rec=0 l2miss=2 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_msi", "uncached",
+         "lat=190 old=10 acc=1 totlat=190 cold=1 upg=0 "
+         "inv=0 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_msi", "shared_by_others",
+         "lat=336 old=10 acc=1 totlat=336 cold=1 upg=0 "
+         "inv=2 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_msi", "modified_elsewhere",
+         "lat=130 old=10 acc=1 totlat=130 cold=1 upg=0 "
+         "inv=0 rec=1 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_mesi", "hit_M",
+         "lat=9 old=10 acc=2 totlat=200 cold=1 upg=0 "
+         "inv=0 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_mesi", "upgrade_S",
+         "lat=35 old=10 acc=2 totlat=226 cold=1 upg=1 "
+         "inv=1 rec=0 l2miss=2 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_mesi", "uncached",
+         "lat=190 old=10 acc=1 totlat=190 cold=1 upg=0 "
+         "inv=0 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_mesi", "shared_by_others",
+         "lat=316 old=10 acc=1 totlat=316 cold=1 upg=0 "
+         "inv=2 rec=0 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+        {"dir_mesi", "modified_elsewhere",
+         "lat=130 old=10 acc=1 totlat=130 cold=1 upg=0 "
+         "inv=0 rec=1 l2miss=1 l2=[3,0,0] dir=2 owner=0 sharers=0"},
+    };
+    for (const AtomicGoldenCase& c : cases)
+        EXPECT_EQ(atomicGoldenRow(c), c.expected)
+            << c.protocol << " " << c.state;
 }
 
 // ------------------------------------------------------- coherent (kernel)
