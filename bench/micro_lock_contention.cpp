@@ -145,8 +145,8 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
         r.cpuSumSeconds += c;
         r.cpuMaxSeconds = std::max(r.cpuMaxSeconds, c);
     }
-    r.shardContended = mem.shardLockContendedCounter()->load();
-    r.tileContended = mem.tileLockContendedCounter()->load();
+    r.shardContended = mem.shardLockTotals().contended;
+    r.tileContended = mem.tileLockTotals().contended;
     return r;
 }
 

@@ -5,7 +5,8 @@
  *
  * Conservation checks run at quiescence (after Simulator::run returns):
  *  - coherence SWMR / inclusion / data agreement (validateCoherence)
- *  - per-tile counter sums equal the shared atomic aggregates
+ *  - latency samples match the access counts and latency totals, and
+ *    each L2 miss carries exactly one miss class
  *  - network locality counters equal per-model routed packet/byte totals
  *  - target heap fully released (the fuzz program frees everything)
  *

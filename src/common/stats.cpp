@@ -32,6 +32,21 @@ HistogramStat::record(stat_t value)
     }
 }
 
+void
+HistogramStat::merge(const HistogramStat& other)
+{
+    for (int i = 0; i < NUM_BUCKETS; ++i)
+        addOwned(buckets_[i], other.bucket(i));
+    addOwned(count_, other.count());
+    addOwned(sum_, other.sum());
+    // Raw min_ (all-ones when empty), so merging empty parts keeps the
+    // result empty.
+    min_.store(std::min(min_.load(std::memory_order_relaxed),
+                        other.min_.load(std::memory_order_relaxed)),
+               std::memory_order_relaxed);
+    max_.store(std::max(max(), other.max()), std::memory_order_relaxed);
+}
+
 double
 HistogramStat::mean() const
 {
@@ -157,11 +172,12 @@ StatsRegistry::registerGauge(const std::string& name, gauge_fn fn)
 
 void
 StatsRegistry::registerHistogram(const std::string& name,
-                                 const HistogramStat* histogram)
+                                 std::vector<const HistogramStat*> parts)
 {
+    GRAPHITE_ASSERT(!parts.empty());
     lockdep::Guard lock(mutex_);
     checkNewName(name);
-    histograms_.emplace(name, histogram);
+    histograms_.emplace(name, std::move(parts));
 }
 
 stat_t
@@ -187,12 +203,28 @@ StatsRegistry::has(const std::string& name) const
            gauges_.count(name) != 0 || histograms_.count(name) != 0;
 }
 
-const HistogramStat*
+namespace
+{
+
+HistogramStat
+mergeParts(const std::vector<const HistogramStat*>& parts)
+{
+    HistogramStat merged;
+    for (const HistogramStat* p : parts)
+        merged.merge(*p);
+    return merged;
+}
+
+} // namespace
+
+std::optional<HistogramStat>
 StatsRegistry::histogram(const std::string& name) const
 {
     lockdep::Guard lock(mutex_);
     auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second;
+    if (it == histograms_.end())
+        return std::nullopt;
+    return mergeParts(it->second);
 }
 
 stat_t
@@ -270,9 +302,10 @@ StatsRegistry::snapshot() const
         out.emplace_back(name, ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
         out.emplace_back(name, fn());
-    for (const auto& [name, h] : histograms_) {
-        out.emplace_back(name + ".count", h->count());
-        out.emplace_back(name + ".sum", h->sum());
+    for (const auto& [name, parts] : histograms_) {
+        HistogramStat h = mergeParts(parts);
+        out.emplace_back(name + ".count", h.count());
+        out.emplace_back(name + ".sum", h.sum());
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -291,8 +324,8 @@ StatsRegistry::dump() const
             std::to_string(ptr->load(std::memory_order_relaxed));
     for (const auto& [name, fn] : gauges_)
         lines[name] = std::to_string(fn());
-    for (const auto& [name, h] : histograms_)
-        lines[name] = h->summary();
+    for (const auto& [name, parts] : histograms_)
+        lines[name] = mergeParts(parts).summary();
     std::ostringstream os;
     for (const auto& [name, value] : lines)
         os << name << " = " << value << "\n";

@@ -13,20 +13,26 @@
  *    interval snapshotting possible without invading every model.
  *  - histograms: power-of-two-bucketed distributions (HistogramStat)
  *    for latency-style values where a single counter hides the shape.
+ *    One name may cover several parts (per-tile shards of one
+ *    distribution); readers get their merge, computed at read time.
  *
- * Aggregation helpers sum statistics across tiles at reporting time;
- * snapshot() flattens everything to (name, value) pairs for the
- * obs-layer interval sampler.
+ * Hot counters are sharded, not shared: each owner (a tile, a shard)
+ * keeps its own OwnedStat or HistogramStat, written only under its own
+ * lock, and readers sum or merge the parts. Aggregation helpers sum
+ * statistics across tiles at reporting time; snapshot() flattens
+ * everything to (name, value) pairs for the obs-layer interval sampler.
  */
 
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +57,40 @@ using stat_t = std::uint64_t;
  */
 using atomic_stat_t = std::atomic<stat_t>;
 
+/**
+ * Add @p n to a counter that one thread writes at a time (its owner's
+ * lock held) while any thread may read it: a relaxed load and store,
+ * not a locked read-modify-write, so it costs what a plain add does and
+ * readers never see a torn value.
+ */
+inline void
+addOwned(atomic_stat_t& c, stat_t n)
+{
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
+/** A counter updated with addOwned: one writer, any reader. */
+class OwnedStat
+{
+  public:
+    OwnedStat& operator+=(stat_t n)
+    {
+        addOwned(v_, n);
+        return *this;
+    }
+    OwnedStat& operator++() { return *this += 1; }
+    OwnedStat& operator=(stat_t v)
+    {
+        v_.store(v, std::memory_order_relaxed);
+        return *this;
+    }
+    operator stat_t() const { return v_.load(std::memory_order_relaxed); }
+
+  private:
+    atomic_stat_t v_{0};
+};
+
 /** A gauge: evaluated at read time. Must be safe to call concurrently. */
 using gauge_fn = std::function<stat_t()>;
 
@@ -67,8 +107,35 @@ class HistogramStat
   public:
     static constexpr int NUM_BUCKETS = 65; ///< bit widths 0..64
 
+    HistogramStat() = default;
+    /** A copy is a relaxed snapshot of @p other. */
+    HistogramStat(const HistogramStat& other) { merge(other); }
+
     /** Record one sample. Safe to call from multiple threads. */
     void record(stat_t value);
+
+    /**
+     * Record one sample into a histogram that only the caller writes
+     * (its owner's lock held), with addOwned: no locked
+     * read-modify-write, and readers stay race-free.
+     */
+    void recordOwned(stat_t value)
+    {
+        addOwned(buckets_[std::bit_width(value)], 1);
+        addOwned(count_, 1);
+        addOwned(sum_, value);
+        if (value < min_.load(std::memory_order_relaxed))
+            min_.store(value, std::memory_order_relaxed);
+        if (value > max_.load(std::memory_order_relaxed))
+            max_.store(value, std::memory_order_relaxed);
+    }
+
+    /**
+     * Add @p other's samples to this one: counts, sums and buckets
+     * add, min and max combine. Only the caller writes this histogram
+     * meanwhile; @p other may be recording.
+     */
+    void merge(const HistogramStat& other);
 
     /** @name Summary statistics @{ */
     stat_t count() const
@@ -125,7 +192,9 @@ enum class MatchMode
  * Thread-safety: registration is mutex-protected (cold path); reads used
  * for reporting take the same mutex. Counter increments touch only the
  * owner's memory. Gauge callbacks are invoked with the registry mutex
- * held and must not call back into the registry.
+ * held and must not call back into the registry. A histogram is read
+ * as a fresh merge of its parts, so no reader holds a view that can
+ * go stale.
  */
 class StatsRegistry
 {
@@ -148,11 +217,13 @@ class StatsRegistry
     void registerGauge(const std::string& name, gauge_fn fn);
 
     /**
-     * Register a histogram. Its ".count" and ".sum" projections appear
-     * in snapshot() so interval samplers can delta them.
+     * Register a histogram made of one or more @p parts (e.g. one per
+     * tile), merged whenever it is read. Its ".count" and ".sum"
+     * projections appear in snapshot() so interval samplers can delta
+     * them. The parts must outlive the registration.
      */
     void registerHistogram(const std::string& name,
-                           const HistogramStat* histogram);
+                           std::vector<const HistogramStat*> parts);
 
     /** @return value of a named counter or gauge; fatal if unknown. */
     stat_t get(const std::string& name) const;
@@ -160,8 +231,8 @@ class StatsRegistry
     /** @return true if a statistic of any kind exists under the name. */
     bool has(const std::string& name) const;
 
-    /** @return registered histogram, or nullptr. */
-    const HistogramStat* histogram(const std::string& name) const;
+    /** @return the merge of a registered histogram's parts, or nullopt. */
+    std::optional<HistogramStat> histogram(const std::string& name) const;
 
     /**
      * Sum all counters/gauges whose name matches "prefix<id>suffix" over
@@ -201,7 +272,7 @@ class StatsRegistry
     std::map<std::string, const stat_t*> counters_;
     std::map<std::string, const atomic_stat_t*> atomicCounters_;
     std::map<std::string, gauge_fn> gauges_;
-    std::map<std::string, const HistogramStat*> histograms_;
+    std::map<std::string, std::vector<const HistogramStat*>> histograms_;
 };
 
 } // namespace graphite

@@ -151,30 +151,31 @@ Simulator::registerStats()
         });
     }
 
-    // Aggregates are maintained on the memory system's hot path as
-    // shared atomic counters, so the interval sampler reads one word
-    // instead of walking every tile per sample.
+    // Whole-system memory stats are summed (or merged) over the tiles
+    // and shards that own them each time they are read, so the access
+    // path writes no shared word.
     MemorySystem* mem = memory_.get();
-    stats_.registerCounter("mem.l2_misses_total",
-                           mem->l2MissesCounter());
-    stats_.registerCounter("mem.accesses_total",
-                           mem->totalAccessesCounter());
-    stats_.registerCounter("mem.writebacks_total",
-                           mem->writebacksCounter());
-    stats_.registerCounter("mem.shard_lock.acquisitions",
-                           mem->shardLockAcquisitionsCounter());
-    stats_.registerCounter("mem.shard_lock.contended",
-                           mem->shardLockContendedCounter());
-    stats_.registerCounter("mem.shard_lock.wait_ns",
-                           mem->shardLockWaitNsCounter());
-    stats_.registerCounter("mem.tile_lock.acquisitions",
-                           mem->tileLockAcquisitionsCounter());
-    stats_.registerCounter("mem.tile_lock.contended",
-                           mem->tileLockContendedCounter());
-    stats_.registerCounter("mem.tile_lock.wait_ns",
-                           mem->tileLockWaitNsCounter());
+    stats_.registerGauge("mem.l2_misses_total",
+                         [mem] { return mem->l2Misses(); });
+    stats_.registerGauge("mem.accesses_total",
+                         [mem] { return mem->totalAccesses(); });
+    stats_.registerGauge("mem.writebacks_total",
+                         [mem] { return mem->writebacks(); });
+    auto lock_gauges = [&](const char* level, auto totals) {
+        stats_.registerGauge(strfmt("mem.{}_lock.acquisitions", level),
+                             [totals] { return totals().acquisitions; });
+        stats_.registerGauge(strfmt("mem.{}_lock.contended", level),
+                             [totals] { return totals().contended; });
+        stats_.registerGauge(strfmt("mem.{}_lock.wait_ns", level),
+                             [totals] { return totals().waitNs; });
+    };
+    lock_gauges("shard", [mem] { return mem->shardLockTotals(); });
+    lock_gauges("tile", [mem] { return mem->tileLockTotals(); });
+    std::vector<const HistogramStat*> latency_parts;
+    for (tile_id_t t = 0; t < topo_.totalTiles(); ++t)
+        latency_parts.push_back(&mem->accessLatencyHistogram(t));
     stats_.registerHistogram("mem.access_latency",
-                             &memory_->accessLatencyHistogram());
+                             std::move(latency_parts));
 
     NetworkFabric* fabric = fabric_.get();
     auto net_gauges = [&](const char* tag, PacketType type) {
@@ -271,7 +272,7 @@ Simulator::registerStats()
         stats_.registerGauge("accuracy.worst_magnitude_cycles",
                              [acc] { return acc->worstMagnitude(); });
         stats_.registerHistogram("accuracy.magnitude",
-                                 acc->magnitudeHistogram());
+                                 {acc->magnitudeHistogram()});
         for (int p = 0; p < obs::accuracy::NUM_VIOLATION_POINTS; ++p) {
             auto point = static_cast<obs::accuracy::ViolationPoint>(p);
             stats_.registerGauge(
@@ -281,16 +282,16 @@ Simulator::registerStats()
         }
         stats_.registerHistogram(
             "accuracy.net_latency.app",
-            acc->netLatencyHistogram(
-                static_cast<int>(PacketType::App)));
+            {acc->netLatencyHistogram(
+                static_cast<int>(PacketType::App))});
         stats_.registerHistogram(
             "accuracy.net_latency.memory",
-            acc->netLatencyHistogram(
-                static_cast<int>(PacketType::Memory)));
+            {acc->netLatencyHistogram(
+                static_cast<int>(PacketType::Memory))});
         stats_.registerHistogram(
             "accuracy.net_latency.system",
-            acc->netLatencyHistogram(
-                static_cast<int>(PacketType::System)));
+            {acc->netLatencyHistogram(
+                static_cast<int>(PacketType::System))});
         stats_.registerGauge("sync.skew_pair_max_cycles",
                              [acc] { return acc->pairSkewMax(); });
         stats_.registerGauge("sync.skew_pair_mean_cycles", [acc] {

@@ -69,10 +69,10 @@ Cache::find(addr_t addr) const
 CacheLine*
 Cache::access(addr_t addr, bool is_write)
 {
-    accesses_.fetch_add(1, std::memory_order_relaxed);
+    ++accesses_;
     CacheLine* line = find(addr);
     if (line == nullptr) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        ++misses_;
         return nullptr;
     }
     if (is_write && line->state == CacheState::Exclusive) {
@@ -84,7 +84,7 @@ Cache::access(addr_t addr, bool is_write)
         // Upgrade required: treated as a miss by the caller's protocol
         // logic, but the probe itself found data. Count as miss so
         // write-permission misses show up in the stats.
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        ++misses_;
         line->lruStamp = ++lruCounter_;
         return nullptr;
     }
@@ -215,10 +215,10 @@ Cache::saveState(snapshot::SnapshotWriter& w) const
 {
     w.u64(static_cast<std::uint64_t>(lines_.size()));
     w.u64(lruCounter_);
-    w.u64(accesses_.load(std::memory_order_relaxed));
-    w.u64(misses_.load(std::memory_order_relaxed));
-    w.u64(evictions_.load(std::memory_order_relaxed));
-    w.u64(invalidations_.load(std::memory_order_relaxed));
+    w.u64(accesses_);
+    w.u64(misses_);
+    w.u64(evictions_);
+    w.u64(invalidations_);
     for (const CacheLine& line : lines_) {
         w.u64(line.lineAddr);
         w.u8(static_cast<std::uint8_t>(line.state));
@@ -237,10 +237,10 @@ Cache::loadState(snapshot::SnapshotReader& r)
                    "in snapshot, {} configured)",
                    name_, count, lines_.size()));
     lruCounter_ = r.u64();
-    accesses_.store(r.u64(), std::memory_order_relaxed);
-    misses_.store(r.u64(), std::memory_order_relaxed);
-    evictions_.store(r.u64(), std::memory_order_relaxed);
-    invalidations_.store(r.u64(), std::memory_order_relaxed);
+    accesses_ = r.u64();
+    misses_ = r.u64();
+    evictions_ = r.u64();
+    invalidations_ = r.u64();
     for (CacheLine& line : lines_) {
         line.lineAddr = r.u64();
         line.state = static_cast<CacheState>(r.u8());

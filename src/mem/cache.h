@@ -15,13 +15,12 @@
  * (MemorySystem's two-level locking scheme; see DESIGN.md
  * §"Coherence-transaction serialization"); Cache itself is not
  * internally locked. The statistic
- * counters are relaxed atomics so that gauges and the interval metrics
- * sampler can read them while other threads mutate.
+ * counters are OwnedStats, written under that lock, so gauges and the
+ * interval metrics sampler can read them while other threads mutate.
  */
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -168,23 +167,11 @@ class Cache
 
     /** @name Statistics (readable concurrently with mutation) @{ */
     const std::string& name() const { return name_; }
-    stat_t accesses() const
-    {
-        return accesses_.load(std::memory_order_relaxed);
-    }
-    stat_t misses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
+    stat_t accesses() const { return accesses_; }
+    stat_t misses() const { return misses_; }
     stat_t hits() const { return accesses() - misses(); }
-    stat_t evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-    stat_t invalidations() const
-    {
-        return invalidations_.load(std::memory_order_relaxed);
-    }
+    stat_t evictions() const { return evictions_; }
+    stat_t invalidations() const { return invalidations_; }
     double missRate() const;
     /** @} */
 
@@ -210,10 +197,10 @@ class Cache
     std::vector<CacheLine> lines_; ///< numSets_ * assoc_, set-major
     std::uint64_t lruCounter_ = 0;
 
-    atomic_stat_t accesses_{0};
-    atomic_stat_t misses_{0};
-    atomic_stat_t evictions_{0};
-    atomic_stat_t invalidations_{0};
+    OwnedStat accesses_;
+    OwnedStat misses_;
+    OwnedStat evictions_;
+    OwnedStat invalidations_;
 };
 
 } // namespace graphite

@@ -192,24 +192,22 @@ MemorySystem::msg(tile_id_t src, tile_id_t dst, size_t payload_bytes,
 
 // ------------------------------------------------------------------ locking
 
+template <class Owner>
 lockdep::UniqueLock
-MemorySystem::lockCounted(lockdep::OrderedMutex& m, LockStats& stats,
-                          const char* file, int line)
+MemorySystem::lockCounted(Owner& owner, const char* file, int line)
 {
-    lockdep::UniqueLock lock(m, std::defer_lock);
+    lockdep::UniqueLock lock(owner.mutex, std::defer_lock);
+    LockStats& stats = owner.lockStats;
     if (!lock.try_lock(file, line)) {
-        stats.contended.fetch_add(1, std::memory_order_relaxed);
         auto t0 = std::chrono::steady_clock::now();
         lock.lock(file, line);
         auto waited = std::chrono::steady_clock::now() - t0;
-        stats.waitNs.fetch_add(
-            static_cast<stat_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    waited)
-                    .count()),
-            std::memory_order_relaxed);
+        ++stats.contended;
+        stats.waitNs += static_cast<stat_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
+                .count());
     }
-    stats.acquisitions.fetch_add(1, std::memory_order_relaxed);
+    ++stats.acquisitions;
     return lock;
 }
 
@@ -375,7 +373,6 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
         // requester's critical path, so the latency is modeled (traffic
         // and queue occupancy) but not accumulated into the access.
         ++tm.stats.writebacks;
-        aggWritebacks_.fetch_add(1, std::memory_order_relaxed);
         obs::telemetry::FlightRecorder::record(
             obs::telemetry::FrEvent::Writeback, tile, now, ev.lineAddr,
             static_cast<std::uint64_t>(home));
@@ -726,8 +723,7 @@ MemorySystem::finishAccess(TileMemory& tm, const AccessResult& res)
 {
     ++tm.stats.totalAccesses;
     tm.stats.totalLatency += res.latency;
-    aggAccesses_.fetch_add(1, std::memory_order_relaxed);
-    accessLatency_.record(res.latency);
+    tm.accessLatency.recordOwned(res.latency);
 }
 
 void
@@ -746,7 +742,7 @@ MemorySystem::lockHomeAndDemote(addr_t line_addr)
     // Invalidate every cached copy (merging a Modified owner's data) so
     // the backing store becomes the sole authority for the line.
     Shard& sh = shards_[homeTile(line_addr)];
-    auto home_lock = lockCounted(sh.mutex, shardLocks_);
+    auto home_lock = lockCounted(sh);
     DirectoryEntry* entry = sh.directory->peek(line_addr);
     if (entry == nullptr || entry->state() == DirectoryState::Uncached)
         return home_lock;
@@ -756,7 +752,7 @@ MemorySystem::lockHomeAndDemote(addr_t line_addr)
     sortUnique(holder_ids);
     std::vector<lockdep::UniqueLock> tile_locks;
     for (tile_id_t id : holder_ids)
-        tile_locks.push_back(lockCounted(tiles_[id].mutex, tileLocks_));
+        tile_locks.push_back(lockCounted(tiles_[id]));
 
     if (entry->state() == DirectoryState::Modified) {
         std::vector<std::uint8_t> data;
@@ -787,7 +783,7 @@ MemorySystem::accessBacking(tile_id_t tile, addr_t addr, Op&& op)
     op();
     AccessResult res; // zero latency, counts as a (cold) miss
     TileMemory& tm = tiles_[tile];
-    auto tile_lock = lockCounted(tm.mutex, tileLocks_);
+    auto tile_lock = lockCounted(tm);
     finishAccess(tm, res);
     return res;
 }
@@ -856,7 +852,7 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
         // its line, so only a fill can name a victim.
         std::optional<addr_t> planned_victim;
         {
-            auto tile_lock = lockCounted(tm.mutex, tileLocks_);
+            auto tile_lock = lockCounted(tm);
             AccessResult res;
             if (try_local(res))
                 return res;
@@ -876,8 +872,7 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
         sortUnique(shard_ids);
         std::vector<lockdep::UniqueLock> shard_locks;
         for (tile_id_t id : shard_ids)
-            shard_locks.push_back(
-                lockCounted(shards_[id].mutex, shardLocks_));
+            shard_locks.push_back(lockCounted(shards_[id]));
 
         std::vector<tile_id_t> tile_ids{tile};
         if (const DirectoryEntry* e =
@@ -886,7 +881,7 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
         sortUnique(tile_ids);
         std::vector<lockdep::UniqueLock> tile_locks;
         for (tile_id_t id : tile_ids)
-            tile_locks.push_back(lockCounted(tiles_[id].mutex, tileLocks_));
+            tile_locks.push_back(lockCounted(tiles_[id]));
 
         // Phase C — revalidate the plan now that the world is frozen.
         // A concurrent access by another thread on the same tile may
@@ -910,7 +905,6 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
         if (span)
             span->add(obs::SpanStage::LocalCheck, start_time,
                       res.latency);
-        aggL2Misses_.fetch_add(1, std::memory_order_relaxed);
         res.latency += fetchLineLocked(tile, line_addr, is_write, addr,
                                        size, start_time + res.latency,
                                        res.missClass);
@@ -1046,12 +1040,12 @@ MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
         // data (L1 is write-through). Holding the home shard freezes
         // the owner; the owner's tile lock freezes the data.
         Shard& sh = shards_[homeTile(line_addr)];
-        auto shard_lock = lockCounted(sh.mutex, shardLocks_);
+        auto shard_lock = lockCounted(sh);
         DirectoryEntry* entry = sh.directory->peek(line_addr);
         if (entry != nullptr &&
             entry->state() == DirectoryState::Modified) {
             tile_id_t owner = entry->owner();
-            auto tile_lock = lockCounted(tiles_[owner].mutex, tileLocks_);
+            auto tile_lock = lockCounted(tiles_[owner]);
             CacheLine* line = tiles_[owner].l2->find(line_addr);
             GRAPHITE_ASSERT(line != nullptr);
             std::memcpy(out, line->data.data() + (addr - line_addr),
@@ -1122,6 +1116,79 @@ MemorySystem::stats(tile_id_t tile) const
     return tiles_[tile].stats;
 }
 
+const HistogramStat&
+MemorySystem::accessLatencyHistogram(tile_id_t tile) const
+{
+    return tiles_[tile].accessLatency;
+}
+
+HistogramStat
+MemorySystem::accessLatencyHistogram() const
+{
+    HistogramStat merged;
+    for (const TileMemory& tm : tiles_)
+        merged.merge(tm.accessLatency);
+    return merged;
+}
+
+stat_t
+MemorySystem::totalAccesses() const
+{
+    stat_t n = 0;
+    for (const TileMemory& tm : tiles_)
+        n += tm.stats.totalAccesses;
+    return n;
+}
+
+stat_t
+MemorySystem::l2Misses() const
+{
+    stat_t n = 0;
+    for (const TileMemory& tm : tiles_)
+        n += tm.l2->misses();
+    return n;
+}
+
+stat_t
+MemorySystem::writebacks() const
+{
+    stat_t n = 0;
+    for (const TileMemory& tm : tiles_)
+        n += tm.stats.writebacks;
+    return n;
+}
+
+namespace
+{
+
+/** Sum the lockStats of every tile or every shard. */
+template <class Owners>
+LockTotals
+sumLockStats(const Owners& owners)
+{
+    LockTotals t;
+    for (const auto& o : owners) {
+        t.acquisitions += o.lockStats.acquisitions;
+        t.contended += o.lockStats.contended;
+        t.waitNs += o.lockStats.waitNs;
+    }
+    return t;
+}
+
+} // namespace
+
+LockTotals
+MemorySystem::shardLockTotals() const
+{
+    return sumLockStats(shards_);
+}
+
+LockTotals
+MemorySystem::tileLockTotals() const
+{
+    return sumLockStats(tiles_);
+}
+
 std::string
 MemorySystem::validateCoherence()
 {
@@ -1131,9 +1198,9 @@ MemorySystem::validateCoherence()
     std::vector<lockdep::UniqueLock> locks;
     locks.reserve(shards_.size() + tiles_.size());
     for (Shard& sh : shards_)
-        locks.push_back(lockCounted(sh.mutex, shardLocks_));
+        locks.push_back(lockCounted(sh));
     for (TileMemory& tm : tiles_)
-        locks.push_back(lockCounted(tm.mutex, tileLocks_));
+        locks.push_back(lockCounted(tm));
 
     // Gather, for every line cached anywhere, which L2s hold it and how.
     struct Holders
@@ -1292,13 +1359,15 @@ MemorySystem::saveState(snapshot::SnapshotWriter& w)
         }
     }
 
-    accessLatency_.saveState(w);
+    // One merged histogram and three whole-system totals; loadState
+    // checks the totals against the per-tile state it restores.
+    accessLatencyHistogram().saveState(w);
     backing_.saveState(w);
     manager_->saveState(w);
 
-    w.u64(aggAccesses_.load(std::memory_order_relaxed));
-    w.u64(aggL2Misses_.load(std::memory_order_relaxed));
-    w.u64(aggWritebacks_.load(std::memory_order_relaxed));
+    w.u64(totalAccesses());
+    w.u64(l2Misses());
+    w.u64(writebacks());
 }
 
 void
@@ -1375,13 +1444,26 @@ MemorySystem::loadState(snapshot::SnapshotReader& r)
         }
     }
 
-    accessLatency_.loadState(r);
+    // The saved histogram is the merge of every tile's share; tile 0
+    // takes all of it, which merges back to the same distribution.
+    for (TileMemory& tm : tiles_)
+        tm.accessLatency.reset();
+    tiles_[0].accessLatency.loadState(r);
     backing_.loadState(r);
     manager_->loadState(r);
 
-    aggAccesses_.store(r.u64(), std::memory_order_relaxed);
-    aggL2Misses_.store(r.u64(), std::memory_order_relaxed);
-    aggWritebacks_.store(r.u64(), std::memory_order_relaxed);
+    // The saved totals repeat what the per-tile state already holds,
+    // so a mismatch means the snapshot contradicts itself.
+    auto expect_total = [&](const char* what, stat_t restored) {
+        stat_t saved = r.u64();
+        if (saved != restored)
+            throw snapshot::SnapshotError(
+                strfmt("snapshot: saved {} total {} != per-tile sum {}",
+                       what, saved, restored));
+    };
+    expect_total("access", totalAccesses());
+    expect_total("L2 miss", l2Misses());
+    expect_total("writeback", writebacks());
 }
 
 } // namespace graphite

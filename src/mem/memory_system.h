@@ -26,6 +26,12 @@
  * and commit. Callers differ only in the hit action and in whether the
  * L1 is looked up. See DESIGN.md §"Coherence-transaction
  * serialization: the shard scheme" for the full lock order.
+ *
+ * Statistics follow the same partition: every counter, the latency
+ * histogram and the lock-contention counts live with the tile or
+ * shard whose lock guards their writes, and whole-system values are
+ * summed or merged when read. The access path writes no word shared
+ * by all tiles.
  */
 
 #pragma once
@@ -96,19 +102,33 @@ struct AccessResult
     MissClass missClass = MissClass::None;
 };
 
-/** Per-tile memory statistics beyond the raw cache counters. */
+/**
+ * Per-tile memory statistics beyond the raw cache counters. Written
+ * under the tile's lock, readable from any thread.
+ */
 struct TileMemoryStats
 {
-    stat_t totalAccesses = 0;
-    stat_t totalLatency = 0;
-    stat_t l2ColdMisses = 0;
-    stat_t l2CapacityMisses = 0;
-    stat_t l2TrueSharingMisses = 0;
-    stat_t l2FalseSharingMisses = 0;
-    stat_t l2UpgradeMisses = 0;
-    stat_t invalidationsSent = 0;
-    stat_t recalls = 0;
-    stat_t writebacks = 0;
+    OwnedStat totalAccesses;
+    OwnedStat totalLatency;
+    OwnedStat l2ColdMisses;
+    OwnedStat l2CapacityMisses;
+    OwnedStat l2TrueSharingMisses;
+    OwnedStat l2FalseSharingMisses;
+    OwnedStat l2UpgradeMisses;
+    OwnedStat invalidationsSent;
+    OwnedStat recalls;
+    OwnedStat writebacks;
+};
+
+/**
+ * Contention counters of one lock level (shard or tile), summed over
+ * its instances. Host-side wall-clock artifacts, not simulated state.
+ */
+struct LockTotals
+{
+    stat_t acquisitions = 0;
+    stat_t contended = 0; ///< try-lock lost a real race
+    stat_t waitNs = 0;    ///< time spent blocked after losing
 };
 
 /**
@@ -179,58 +199,32 @@ class MemorySystem
     MemoryManager& manager() { return *manager_; }
     MainMemory& backing() { return backing_; }
 
-    /** Distribution of end-to-end application access latencies. */
-    HistogramStat& accessLatencyHistogram() { return accessLatency_; }
-    const HistogramStat& accessLatencyHistogram() const
-    {
-        return accessLatency_;
-    }
+    /**
+     * Tile @p tile's share of the end-to-end application access-latency
+     * distribution (one sample per finished line access).
+     */
+    const HistogramStat& accessLatencyHistogram(tile_id_t tile) const;
+    /** The whole distribution: a fresh merge of every tile's share. */
+    HistogramStat accessLatencyHistogram() const;
     /** @} */
 
     /**
-     * @name Shared aggregates (register directly as atomic counters)
-     * Maintained on the hot path so reporting never walks every tile:
-     * totalAccesses/l2Misses/writebacks equal the per-tile sums at any
-     * quiescent point. The shard-lock trio measures contention on the
-     * per-home shard mutexes (fast-path hits never touch them); the
-     * tile-lock trio does the same for the level-1 tile mutexes, which
-     * every access takes. Both count with try-lock-then-block, so
-     * "contended" means a real lost race, not just an acquisition.
+     * @name Whole-system totals, summed over tiles or shards on read
+     * Every hot statistic lives with the tile or shard whose lock
+     * guards its writes, so the access path writes no process-wide
+     * word; these read-side sums are what reports and gauges use, and
+     * are safe to call while the simulation runs. The lock totals
+     * count with try-lock-then-block, so "contended" means a real lost
+     * race: the shard level measures the per-home shard mutexes
+     * (fast-path hits never touch them), the tile level the level-1
+     * tile mutexes, which every access takes.
      * @{
      */
-    const atomic_stat_t* totalAccessesCounter() const
-    {
-        return &aggAccesses_;
-    }
-    const atomic_stat_t* l2MissesCounter() const { return &aggL2Misses_; }
-    const atomic_stat_t* writebacksCounter() const
-    {
-        return &aggWritebacks_;
-    }
-    const atomic_stat_t* shardLockAcquisitionsCounter() const
-    {
-        return &shardLocks_.acquisitions;
-    }
-    const atomic_stat_t* shardLockContendedCounter() const
-    {
-        return &shardLocks_.contended;
-    }
-    const atomic_stat_t* shardLockWaitNsCounter() const
-    {
-        return &shardLocks_.waitNs;
-    }
-    const atomic_stat_t* tileLockAcquisitionsCounter() const
-    {
-        return &tileLocks_.acquisitions;
-    }
-    const atomic_stat_t* tileLockContendedCounter() const
-    {
-        return &tileLocks_.contended;
-    }
-    const atomic_stat_t* tileLockWaitNsCounter() const
-    {
-        return &tileLocks_.waitNs;
-    }
+    stat_t totalAccesses() const;
+    stat_t l2Misses() const;
+    stat_t writebacks() const;
+    LockTotals shardLockTotals() const;
+    LockTotals tileLockTotals() const;
     /** @} */
 
     /**
@@ -252,6 +246,9 @@ class MemorySystem
 
     /** Cache line size in bytes. */
     std::uint64_t lineSize() const { return lineSize_; }
+
+    /** Whether L2 misses are classified (mem/miss_classification). */
+    bool classifiesMisses() const { return classify_; }
 
     /**
      * Check every coherence invariant (single writer, inclusion,
@@ -308,15 +305,30 @@ class MemorySystem
         std::vector<std::uint32_t> versions;
     };
 
-    /** Everything guarded by one tile's lock. */
-    struct TileMemory
+    /** Contention counters of one lock, written while holding it. */
+    struct LockStats
+    {
+        OwnedStat acquisitions;
+        OwnedStat contended;
+        OwnedStat waitNs;
+    };
+
+    /**
+     * Everything guarded by one tile's lock. Cache-line aligned so that
+     * neighbouring tiles' hot fields never share a line.
+     */
+    struct alignas(64) TileMemory
     {
         /** Level-1 lock: caches, stats, and classification state. */
         lockdep::OrderedMutex mutex{lockdep::LockClass::mem_tile};
+        /** Beside the mutex: both are written on every acquisition. */
+        LockStats lockStats;
         std::unique_ptr<Cache> l1i;
         std::unique_ptr<Cache> l1d;
         std::unique_ptr<Cache> l2;
         TileMemoryStats stats;
+        /** This tile's share of the access-latency distribution. */
+        HistogramStat accessLatency;
         /** Lines ever present in this tile's L2 (cold-miss tracking). */
         std::unordered_set<addr_t> everCached;
         /** How lines were lost, for coherence-miss classification. */
@@ -329,9 +341,10 @@ class MemorySystem
      * server state. Holding a line's home shard freezes the line's
      * holder set (every holder-set mutation goes through the home).
      */
-    struct Shard
+    struct alignas(64) Shard
     {
         lockdep::OrderedMutex mutex{lockdep::LockClass::mem_shard};
+        LockStats lockStats;
         std::unique_ptr<Directory> directory;
         std::unique_ptr<DramController> dram;
         /** Leaf lock for the word-version shard (classification). */
@@ -346,20 +359,13 @@ class MemorySystem
 
     addr_t lineAlign(addr_t a) const { return a & ~(lineSize_ - 1); }
 
-    /** Contention counters of one lock level (shard or tile). */
-    struct LockStats
-    {
-        atomic_stat_t acquisitions{0};
-        atomic_stat_t contended{0};
-        atomic_stat_t waitNs{0};
-    };
-
     /**
-     * Acquire @p m, recording contention in @p stats (try-lock first;
-     * only a lost race counts as contended).
+     * Acquire @p owner's mutex (a TileMemory or a Shard), recording
+     * contention in its lockStats once the lock is held (try-lock
+     * first; only a lost race counts as contended).
      */
-    lockdep::UniqueLock lockCounted(lockdep::OrderedMutex& m,
-                                    LockStats& stats,
+    template <class Owner>
+    lockdep::UniqueLock lockCounted(Owner& owner,
                                     const char* file = __builtin_FILE(),
                                     int line = __builtin_LINE());
 
@@ -473,15 +479,8 @@ class MemorySystem
     std::atomic<bool> fastForward_{false};
     std::vector<TileMemory> tiles_;
     std::vector<Shard> shards_;
-    HistogramStat accessLatency_;
     MainMemory backing_;
     std::unique_ptr<MemoryManager> manager_;
-
-    atomic_stat_t aggAccesses_{0};
-    atomic_stat_t aggL2Misses_{0};
-    atomic_stat_t aggWritebacks_{0};
-    LockStats shardLocks_;
-    LockStats tileLocks_;
 };
 
 } // namespace graphite

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <set>
 #include <string>
@@ -220,11 +222,12 @@ TEST(AccuracyConfig, DisarmedByDefaultAndArmedByReportPath)
 
     // accuracy/out implies enabled: asking for a report arms detection.
     Config cfg = defaultTargetConfig();
-    cfg.set("accuracy/out", "/tmp/graphite_test_accuracy_unused.jsonl");
+    const std::string path = "/tmp/graphite_test_accuracy_unused_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    cfg.set("accuracy/out", path);
     acc.configure(cfg, 4);
     EXPECT_TRUE(AccuracyObservatory::armed());
-    EXPECT_EQ(acc.reportPath(),
-              "/tmp/graphite_test_accuracy_unused.jsonl");
+    EXPECT_EQ(acc.reportPath(), path);
     // Drop the pending report path without writing the file.
     acc.configure(defaultTargetConfig(), 0);
     EXPECT_FALSE(AccuracyObservatory::armed());

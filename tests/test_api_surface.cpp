@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "common/config.h"
 #include "core/api.h"
@@ -183,7 +186,8 @@ seekMain(void* p)
 TEST(ApiSurface, FileSeekReadsAtOffset)
 {
     SeekProbe probe;
-    probe.path = "/tmp/graphite_seek_test.bin";
+    probe.path = "/tmp/graphite_seek_test_" + std::to_string(::getpid()) +
+                 ".bin";
     runApp(&seekMain, &probe, 4, 2);
     EXPECT_EQ(probe.seekPos, 8);
     EXPECT_EQ(probe.wordAt8, 102u); // third word

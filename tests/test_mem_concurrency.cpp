@@ -10,13 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "core/simulator.h"
 #include "mem/memory_system.h"
 
 namespace graphite
@@ -75,9 +80,10 @@ expectAggregatesConsistent(MemFixture& f, int tiles)
         l2_misses += f.mem->l2(t).misses();
         writebacks += f.mem->stats(t).writebacks;
     }
-    EXPECT_EQ(f.mem->l2MissesCounter()->load(), l2_misses);
-    EXPECT_EQ(f.mem->writebacksCounter()->load(), writebacks);
-    EXPECT_EQ(f.mem->totalAccessesCounter()->load(),
+    EXPECT_EQ(f.mem->l2Misses(), l2_misses);
+    EXPECT_EQ(f.mem->writebacks(), writebacks);
+    EXPECT_EQ(f.mem->totalAccesses(), sumTileAccesses(f, tiles));
+    EXPECT_EQ(f.mem->accessLatencyHistogram().count(),
               sumTileAccesses(f, tiles));
 }
 
@@ -303,9 +309,9 @@ TEST(MemConcurrency, ContentionStatsSane)
     for (auto& t : threads)
         t.join();
 
-    stat_t acq = f.mem->shardLockAcquisitionsCounter()->load();
-    stat_t contended = f.mem->shardLockContendedCounter()->load();
-    EXPECT_GE(acq, f.mem->l2MissesCounter()->load());
+    stat_t acq = f.mem->shardLockTotals().acquisitions;
+    stat_t contended = f.mem->shardLockTotals().contended;
+    EXPECT_GE(acq, f.mem->l2Misses());
     EXPECT_LE(contended, acq);
     EXPECT_EQ(f.mem->validateCoherence(), "");
 }
@@ -321,7 +327,7 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
     constexpr std::uint64_t kHoldNs = 50'000'000; // 50 ms
 
     // Tile lock: every access to tile 0 takes it.
-    stat_t tile_before = f.mem->tileLockContendedCounter()->load();
+    stat_t tile_before = f.mem->tileLockTotals().contended;
     {
         std::atomic<bool> held{false};
         std::thread holder(
@@ -332,14 +338,14 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
         f.mem->access(0, MemAccessType::Write, PRIVATE_BASE, &v, 8, 0);
         holder.join();
     }
-    EXPECT_GT(f.mem->tileLockContendedCounter()->load(), tile_before);
-    EXPECT_GT(f.mem->tileLockWaitNsCounter()->load(), 0u);
-    EXPECT_GT(f.mem->tileLockAcquisitionsCounter()->load(), 0u);
+    EXPECT_GT(f.mem->tileLockTotals().contended, tile_before);
+    EXPECT_GT(f.mem->tileLockTotals().waitNs, 0u);
+    EXPECT_GT(f.mem->tileLockTotals().acquisitions, 0u);
 
     // Shard lock: a miss on a fresh line takes its home shard.
     addr_t fresh = SHARED_BASE + 64 * f.mem->lineSize();
     tile_id_t home = f.mem->homeTile(fresh);
-    stat_t shard_before = f.mem->shardLockContendedCounter()->load();
+    stat_t shard_before = f.mem->shardLockTotals().contended;
     {
         std::atomic<bool> held{false};
         std::thread holder(
@@ -350,9 +356,130 @@ TEST(MemConcurrency, PlantedContentionMovesCounters)
         f.mem->access(0, MemAccessType::Write, fresh, &v, 8, 0);
         holder.join();
     }
-    EXPECT_GT(f.mem->shardLockContendedCounter()->load(), shard_before);
-    EXPECT_GT(f.mem->shardLockWaitNsCounter()->load(), 0u);
+    EXPECT_GT(f.mem->shardLockTotals().contended, shard_before);
+    EXPECT_GT(f.mem->shardLockTotals().waitNs, 0u);
     EXPECT_EQ(f.mem->validateCoherence(), "");
+}
+
+// Each host thread drives its own tile, so every tile's statistics have
+// one writer. The merged latency histogram and every mem.* total the
+// registry reports must equal the sums of the per-tile parts.
+TEST(MemConcurrency, ShardedStatsMergeToPerTileValues)
+{
+    constexpr int kThreads = 4;
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", kThreads);
+    Simulator sim(cfg);
+    MemorySystem& mem = sim.memory();
+    const Cache& l2 = mem.l2(0);
+    // Lines that share one L2 set: more of them than ways forces dirty
+    // evictions, hence writebacks.
+    const addr_t set_stride = l2.numSets() * mem.lineSize();
+    const int conflict_lines = l2.associativity() + 4;
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&mem, i, set_stride, conflict_lines] {
+            addr_t base = PRIVATE_BASE + static_cast<addr_t>(i) * 0x100;
+            Rng rng(77 + i);
+            cycle_t now = 0;
+            for (int it = 0; it < kIters / 4; ++it) {
+                std::uint64_t v = rng.next();
+                addr_t addr =
+                    base + (rng.next() % conflict_lines) * set_stride;
+                MemAccessType type = (it & 1) ? MemAccessType::Read
+                                              : MemAccessType::Write;
+                now += mem.access(i, type, addr, &v, 8, now).latency;
+                // A shared line read by everyone: misses and recalls.
+                if (it % 64 == 0)
+                    now += mem.access(i, MemAccessType::Write,
+                                      SHARED_BASE, &v, 8, now)
+                               .latency;
+            }
+        });
+    }
+    // A reader samples the registry while the tiles run, as the metrics
+    // sampler and /metrics scrapes do: totals only ever grow.
+    std::atomic<bool> done{false};
+    std::thread reader([&sim, &done] {
+        stat_t last_accesses = 0, last_samples = 0;
+        while (!done.load(std::memory_order_acquire)) {
+            stat_t accesses = sim.stats().get("mem.accesses_total");
+            stat_t samples =
+                sim.stats().histogram("mem.access_latency")->count();
+            EXPECT_GE(accesses, last_accesses);
+            EXPECT_GE(samples, last_samples);
+            last_accesses = accesses;
+            last_samples = samples;
+        }
+    });
+    for (auto& t : threads)
+        t.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+
+    stat_t accesses = 0, l2_misses = 0, writebacks = 0, count = 0,
+           sum = 0, min = ~stat_t{0}, max = 0;
+    std::vector<stat_t> buckets(HistogramStat::NUM_BUCKETS, 0);
+    for (tile_id_t t = 0; t < kThreads; ++t) {
+        const HistogramStat& h = mem.accessLatencyHistogram(t);
+        EXPECT_EQ(h.count(), mem.stats(t).totalAccesses) << t;
+        EXPECT_EQ(h.sum(), mem.stats(t).totalLatency) << t;
+        ASSERT_GT(h.count(), 0u) << t;
+        accesses += mem.stats(t).totalAccesses;
+        writebacks += mem.stats(t).writebacks;
+        l2_misses += mem.l2(t).misses();
+        count += h.count();
+        sum += h.sum();
+        min = std::min(min, h.min());
+        max = std::max(max, h.max());
+        for (int b = 0; b < HistogramStat::NUM_BUCKETS; ++b)
+            buckets[b] += h.bucket(b);
+    }
+    EXPECT_GT(writebacks, 0u);
+    EXPECT_EQ(accesses,
+              static_cast<stat_t>(kThreads) *
+                  (kIters / 4 + (kIters / 4 + 63) / 64));
+
+    const StatsRegistry& reg = sim.stats();
+    std::optional<HistogramStat> registered =
+        reg.histogram("mem.access_latency");
+    ASSERT_TRUE(registered.has_value());
+    for (const HistogramStat& merged :
+         {mem.accessLatencyHistogram(), *registered}) {
+        EXPECT_EQ(merged.count(), count);
+        EXPECT_EQ(merged.sum(), sum);
+        EXPECT_EQ(merged.min(), min);
+        EXPECT_EQ(merged.max(), max);
+        for (int b = 0; b < HistogramStat::NUM_BUCKETS; ++b)
+            EXPECT_EQ(merged.bucket(b), buckets[b]) << b;
+    }
+
+    LockTotals shard = mem.shardLockTotals();
+    LockTotals tile = mem.tileLockTotals();
+    EXPECT_GE(tile.acquisitions, accesses);
+    EXPECT_GE(shard.acquisitions, l2_misses);
+    const std::map<std::string, stat_t> expected = {
+        {"mem.accesses_total", accesses},
+        {"mem.l2_misses_total", l2_misses},
+        {"mem.writebacks_total", writebacks},
+        {"mem.shard_lock.acquisitions", shard.acquisitions},
+        {"mem.shard_lock.contended", shard.contended},
+        {"mem.shard_lock.wait_ns", shard.waitNs},
+        {"mem.tile_lock.acquisitions", tile.acquisitions},
+        {"mem.tile_lock.contended", tile.contended},
+        {"mem.tile_lock.wait_ns", tile.waitNs},
+    };
+    std::vector<std::string> mem_names;
+    for (const std::string& name : reg.names())
+        if (name.rfind("mem.", 0) == 0 && name != "mem.access_latency")
+            mem_names.push_back(name);
+    ASSERT_EQ(mem_names.size(), expected.size());
+    for (const std::string& name : mem_names) {
+        auto it = expected.find(name);
+        ASSERT_NE(it, expected.end()) << name;
+        EXPECT_EQ(reg.get(name), it->second) << name;
+    }
+    EXPECT_EQ(mem.validateCoherence(), "");
 }
 
 } // namespace

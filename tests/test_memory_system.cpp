@@ -313,7 +313,7 @@ atomicGoldenRow(const AtomicGoldenCase& c)
         0, A, 4, [](std::uint64_t v) { return v + 5; }, 100);
     EXPECT_EQ(f.mem->validateCoherence(), "");
     EXPECT_EQ(f.mem->accessLatencyHistogram().count(),
-              f.mem->totalAccessesCounter()->load());
+              f.mem->totalAccesses());
 
     const TileMemoryStats& s = f.mem->stats(0);
     const DirectoryEntry* e = f.mem->directory(f.mem->homeTile(A)).peek(A);

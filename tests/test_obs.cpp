@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "common/config.h"
@@ -21,6 +22,7 @@
 #include "obs/metrics_sampler.h"
 #include "obs/observability.h"
 #include "obs/profiler.h"
+#include "obs/telemetry/status.h"
 #include "obs/trace_event.h"
 
 namespace graphite
@@ -292,7 +294,7 @@ TEST(StatsRegistry, SnapshotFlattensAllKinds)
     hist.record(20);
     reg.registerCounter("a.counter", &counter);
     reg.registerGauge("b.gauge", [] { return stat_t{9}; });
-    reg.registerHistogram("c.hist", &hist);
+    reg.registerHistogram("c.hist", {&hist});
 
     auto snap = reg.snapshot();
     ASSERT_EQ(snap.size(), 4u); // counter, gauge, hist.count, hist.sum
@@ -311,10 +313,134 @@ TEST(StatsRegistry, HistogramLookup)
 {
     StatsRegistry reg;
     HistogramStat hist;
-    reg.registerHistogram("h", &hist);
-    EXPECT_EQ(reg.histogram("h"), &hist);
-    EXPECT_EQ(reg.histogram("nope"), nullptr);
+    hist.record(5);
+    reg.registerHistogram("h", {&hist});
+    ASSERT_TRUE(reg.histogram("h").has_value());
+    EXPECT_EQ(reg.histogram("h")->count(), 1u);
+    // Each read is a fresh merge, so later samples show up.
+    hist.record(7);
+    EXPECT_EQ(reg.histogram("h")->sum(), 12u);
+    EXPECT_FALSE(reg.histogram("nope").has_value());
     EXPECT_TRUE(reg.has("h"));
+}
+
+TEST(HistogramStat, MergeCombinesParts)
+{
+    HistogramStat a, b, empty;
+    a.record(3);
+    a.record(100);
+    b.record(0);
+    b.record(9);
+    HistogramStat m;
+    m.merge(a);
+    m.merge(empty);
+    m.merge(b);
+    EXPECT_EQ(m.count(), 4u);
+    EXPECT_EQ(m.sum(), 112u);
+    EXPECT_EQ(m.min(), 0u);
+    EXPECT_EQ(m.max(), 100u);
+    for (int i = 0; i < HistogramStat::NUM_BUCKETS; ++i)
+        EXPECT_EQ(m.bucket(i), a.bucket(i) + b.bucket(i)) << i;
+
+    // Merging only empty parts stays empty: min() reads 0, and a later
+    // sample still becomes the minimum.
+    HistogramStat e;
+    e.merge(empty);
+    EXPECT_EQ(e.count(), 0u);
+    EXPECT_EQ(e.min(), 0u);
+    e.record(42);
+    EXPECT_EQ(e.min(), 42u);
+
+    // A copy is a snapshot, not a view.
+    HistogramStat copy(a);
+    a.record(1);
+    EXPECT_EQ(copy.count(), 2u);
+    EXPECT_EQ(copy.sum(), 103u);
+}
+
+TEST(StatsRegistry, MultiPartHistogramMergesOnRead)
+{
+    StatsRegistry reg;
+    HistogramStat t0, t1, t2;
+    reg.registerHistogram("lat", {&t0, &t1, &t2});
+    t0.record(1);
+    t1.record(6);
+    t1.record(6);
+    t2.record(200);
+
+    std::optional<HistogramStat> h = reg.histogram("lat");
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->count(), 4u);
+    EXPECT_EQ(h->sum(), 213u);
+    EXPECT_EQ(h->min(), 1u);
+    EXPECT_EQ(h->max(), 200u);
+    EXPECT_EQ(h->bucket(1), 1u);
+    EXPECT_EQ(h->bucket(3), 2u);
+    EXPECT_EQ(h->bucket(8), 1u);
+
+    auto find = [](const auto& snap, const std::string& name) {
+        for (const auto& [n, v] : snap)
+            if (n == name)
+                return v;
+        ADD_FAILURE() << "missing " << name;
+        return stat_t{0};
+    };
+    auto snap = reg.snapshot();
+    EXPECT_EQ(find(snap, "lat.count"), 4u);
+    EXPECT_EQ(find(snap, "lat.sum"), 213u);
+    EXPECT_NE(reg.dump().find("lat = count=4 "), std::string::npos);
+
+    // Parts keep recording after registration; the next read sees it.
+    t2.record(0);
+    EXPECT_EQ(reg.histogram("lat")->count(), 5u);
+    EXPECT_EQ(reg.histogram("lat")->min(), 0u);
+}
+
+// The simulator registers mem.access_latency over every tile's share;
+// /metrics must expose the merge of all of them as one histogram.
+TEST(StatsRegistry, AccessLatencyPrometheusIsTheMergeOfTiles)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 4);
+    Simulator sim(cfg);
+    MemorySystem& mem = sim.memory();
+    std::uint64_t v = 7;
+    cycle_t t = 0;
+    // A miss and a hit on tile 1, a miss on tile 3 and a recall on
+    // tile 0: three tiles hold samples of different sizes.
+    const addr_t a = 0x1000'0000, b = 0x2000'0000;
+    t += mem.access(1, MemAccessType::Write, a, &v, 8, t).latency;
+    t += mem.access(1, MemAccessType::Read, a, &v, 8, t).latency;
+    t += mem.access(3, MemAccessType::Read, b, &v, 8, t).latency;
+    t += mem.access(0, MemAccessType::Read, a, &v, 8, t).latency;
+
+    HistogramStat merged;
+    for (tile_id_t tile = 0; tile < 4; ++tile)
+        merged.merge(mem.accessLatencyHistogram(tile));
+    ASSERT_EQ(merged.count(), 4u);
+    EXPECT_EQ(mem.accessLatencyHistogram(2).count(), 0u);
+    EXPECT_EQ(merged.sum(), t);
+
+    std::string expected = "# TYPE graphite_mem_access_latency histogram\n";
+    stat_t cumulative = 0;
+    for (int i = 0; i < HistogramStat::NUM_BUCKETS; ++i) {
+        if (merged.bucket(i) == 0)
+            continue;
+        cumulative += merged.bucket(i);
+        stat_t le = i == 0 ? 0 : (stat_t{1} << i) - 1;
+        expected += "graphite_mem_access_latency_bucket{le=\"" +
+                    std::to_string(le) + "\"} " +
+                    std::to_string(cumulative) + "\n";
+    }
+    expected += "graphite_mem_access_latency_bucket{le=\"+Inf\"} 4\n"
+                "graphite_mem_access_latency_sum " +
+                std::to_string(t) +
+                "\n"
+                "graphite_mem_access_latency_count 4\n";
+    std::string text = obs::telemetry::renderPrometheus(sim.stats());
+    EXPECT_NE(text.find(expected), std::string::npos) << text;
+    EXPECT_NE(text.find("graphite_mem_accesses_total 4\n"),
+              std::string::npos);
 }
 
 TEST(StatsRegistry, SumMatchingSpansCountersAndGauges)

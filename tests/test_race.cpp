@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -344,7 +346,10 @@ TEST(RaceSim, PlantedReadWriteIsFlagged)
 
 TEST(RaceSim, ReportFileIsWritten)
 {
-    const char* path = "/tmp/graphite_test_races.jsonl";
+    // Per process, so concurrent test runs never share the file.
+    const std::string path_str = "/tmp/graphite_test_races_" +
+                                 std::to_string(::getpid()) + ".jsonl";
+    const char* path = path_str.c_str();
     std::remove(path);
     Config cfg = simConfig("lax");
     cfg.set("race/report_out", path);

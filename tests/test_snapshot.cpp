@@ -263,6 +263,60 @@ TEST(SnapshotCheckpoint, ConfigDriftIsRejectedWithNamedErrors)
     }
 }
 
+// The memory section ends with three whole-system totals (accesses,
+// L2 misses, writebacks) that repeat what the per-tile state holds. A
+// snapshot whose totals disagree with its own per-tile state must be
+// rejected, even with a valid checksum.
+TEST(SnapshotCheckpoint, MemoryTotalsMustMatchPerTileState)
+{
+    Config cfg = defaultTargetConfig();
+    cfg.setInt("general/total_tiles", 4);
+    std::vector<std::uint8_t> blob;
+    {
+        Simulator sim(cfg);
+        std::uint64_t v = 1;
+        cycle_t t = 0;
+        for (tile_id_t tile = 0; tile < 4; ++tile)
+            t += sim.memory()
+                     .access(tile, MemAccessType::Write, 0x1000'0000, &v,
+                             8, t)
+                     .latency;
+        snapshot::SnapshotWriter w;
+        sim.memory().saveState(w);
+        blob = w.finish();
+    }
+    // Untouched, the section loads.
+    {
+        Simulator sim(cfg);
+        snapshot::SnapshotReader r(blob);
+        sim.memory().loadState(r);
+        r.expectEnd();
+        EXPECT_EQ(sim.memory().totalAccesses(), 4u);
+        EXPECT_EQ(sim.memory().accessLatencyHistogram().count(), 4u);
+    }
+    const char* names[] = {"access", "L2 miss", "writeback"};
+    for (int word = 0; word < 3; ++word) {
+        std::vector<std::uint8_t> bad = blob;
+        std::size_t at = bad.size() - 8 - 24 + 8 * word;
+        std::uint64_t total = 0;
+        std::memcpy(&total, bad.data() + at, sizeof total);
+        ++total;
+        std::memcpy(bad.data() + at, &total, sizeof total);
+        reseal(bad);
+        Simulator sim(cfg);
+        snapshot::SnapshotReader r(std::move(bad));
+        try {
+            sim.memory().loadState(r);
+            ADD_FAILURE() << "inconsistent " << names[word]
+                          << " total accepted";
+        } catch (const snapshot::SnapshotError& e) {
+            EXPECT_NE(std::string(e.what()).find(names[word]),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SnapshotCheckpoint, FileRoundTripAndMissingFile)
 {
     FuzzProgram prog = pickProgram(23);

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/config.h"
 #include "core/api.h"
@@ -318,7 +321,8 @@ TEST(FileIo, RoundTripThroughMcp)
     Config cfg = smallConfig(2, 2);
     Simulator sim(cfg);
     FileProbe probe;
-    probe.path = "/tmp/graphite_file_test.bin";
+    probe.path = "/tmp/graphite_file_test_" + std::to_string(::getpid()) +
+                 ".bin";
     sim.run(&fileMain, &probe);
     EXPECT_EQ(probe.written, 19);
     EXPECT_EQ(probe.readBack, 19);

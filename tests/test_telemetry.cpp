@@ -221,7 +221,7 @@ TEST(Renderers, PrometheusExposesStatsAndHistograms)
     lat.record(1);  // bucket 1 (le 1)
     lat.record(6);  // bucket 3 (le 7)
     lat.record(6);
-    reg.registerHistogram("unit.lat", &lat);
+    reg.registerHistogram("unit.lat", {&lat});
 
     std::string text = obs::telemetry::renderPrometheus(reg);
     EXPECT_NE(text.find("# TYPE graphite_unit_counter gauge\n"

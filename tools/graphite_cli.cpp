@@ -121,7 +121,7 @@ collectHeadline(const Simulator& sim, const workloads::SimRunResult& r)
     out.emplace_back("mem_l2_misses", misses);
     out.emplace_back("mem_l2_miss_rate",
                      accesses > 0 ? misses / accesses : 0.0);
-    if (const HistogramStat* h = reg.histogram("mem.access_latency")) {
+    if (auto h = reg.histogram("mem.access_latency")) {
         out.emplace_back("mem_latency_p50", static_cast<double>(
                                                 h->percentileApprox(0.5)));
         out.emplace_back("mem_latency_p95", static_cast<double>(
