@@ -20,18 +20,24 @@
  * lock-order checker, src/common/lockdep.h) runtime-off and enforcing:
  * the per-acquisition order check walks the thread's held-set on this
  * benchmark's hottest path, so the armed/off throughput ratio IS the
- * lockdep tax on the worst realistic case. A separate tight loop
- * measures the raw per-lock/unlock wrapper cost against a plain
- * std::mutex for reference.
+ * lockdep tax on the worst realistic case. One off/armed pair is noisy
+ * when threads outnumber host CPUs, so the tax is judged on the median
+ * ratio of OVERHEAD_REPEATS pairs, interleaved off/armed with the order
+ * alternating, at 8 threads; the same median at threads = host CPUs is
+ * recorded as information. A separate tight loop measures the raw
+ * per-lock/unlock wrapper cost against a plain std::mutex for
+ * reference.
  *
  * Emits BENCH_mem_contention.json; the headline criteria are
  * serialized_scaling_8t (8-thread over 1-thread serialized throughput,
- * lockdep armed) >= 2 and lockdep_overhead_8t <= 1.25.
+ * lockdep armed) >= 2 and lockdep_overhead_8t (median of the repeated
+ * pairs) <= 1.25.
  */
 
 #include <pthread.h>
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -56,6 +62,7 @@ namespace
 constexpr int TILES = 8;
 constexpr addr_t BASE = 0x1000'0000;
 constexpr int LINES_PER_THREAD = 64; // fits every L1
+constexpr int OVERHEAD_REPEATS = 5;
 
 /** CPU time consumed by the calling thread, in seconds. */
 double
@@ -150,6 +157,52 @@ runConfig(bool lockdep_armed, int threads, std::uint64_t ops)
     return r;
 }
 
+/** Off/armed serialized-throughput ratios of interleaved pairs. */
+struct Overhead
+{
+    int threads = 0;
+    std::vector<double> ratios;
+
+    double
+    median() const
+    {
+        std::vector<double> v = ratios;
+        std::sort(v.begin(), v.end());
+        size_t n = v.size();
+        return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+    }
+};
+
+/** Run OVERHEAD_REPEATS off/armed pairs at @p threads, alternating
+ *  which mode goes first so host drift falls on both sides. */
+Overhead
+measureOverhead(int threads, std::uint64_t ops)
+{
+    Overhead o;
+    o.threads = threads;
+    for (int i = 0; i < OVERHEAD_REPEATS; ++i) {
+        bool armed_first = i % 2 != 0;
+        RunResult first = runConfig(armed_first, threads, ops);
+        RunResult second = runConfig(!armed_first, threads, ops);
+        const RunResult& off = armed_first ? second : first;
+        const RunResult& armed = armed_first ? first : second;
+        o.ratios.push_back(off.serializedThroughput() /
+                           armed.serializedThroughput());
+    }
+    return o;
+}
+
+void
+printOverhead(FILE* f, const char* key, const Overhead& o)
+{
+    std::fprintf(f, "  \"%s\": {\"threads\": %d, \"median\": %.3f, "
+                    "\"repeats\": [",
+                 key, o.threads, o.median());
+    for (size_t i = 0; i < o.ratios.size(); ++i)
+        std::fprintf(f, "%s%.3f", i ? ", " : "", o.ratios[i]);
+    std::fprintf(f, "]},\n");
+}
+
 bool
 fastMode()
 {
@@ -229,12 +282,19 @@ main()
                 "host CPUs)\n",
                 serialized_scaling, wall_scaling);
 
-    // Lockdep tax: off vs enforcing at 8 threads.
-    double ld_overhead = find("off", 8).serializedThroughput() /
-                         a8.serializedThroughput();
-    std::printf("lockdep-armed overhead at 8 threads: %.3fx "
-                "(criterion: <= 1.25x)\n",
-                ld_overhead);
+    // Lockdep tax: off vs enforcing, median of interleaved pairs.
+    const int host_cpus =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    Overhead ov8 = measureOverhead(8, ops);
+    Overhead ov_cpus = measureOverhead(host_cpus, ops);
+    lockdep::setMode(lockdep::Mode::Enforce);
+    double ld_overhead = ov8.median();
+    std::printf("lockdep-armed overhead at 8 threads: %.3fx, median of "
+                "%d pairs (criterion: <= 1.25x)\n"
+                "lockdep-armed overhead at %d threads (host CPUs): "
+                "%.3fx, median of %d pairs\n",
+                ld_overhead, OVERHEAD_REPEATS, host_cpus,
+                ov_cpus.median(), OVERHEAD_REPEATS);
 
     // Raw wrapper reference: uncontended lock/unlock cost.
     const std::uint64_t wrap_iters = fastMode() ? 200'000 : 2'000'000;
@@ -291,9 +351,16 @@ main()
     std::fprintf(
         f,
         "  \"lockdep_overhead_note\": \"off/armed "
-        "serialized-throughput ratio at 8 threads; runtime-off still pays held-set bookkeeping, the "
+        "serialized-throughput ratio, median of %d off/armed pairs run "
+        "back to back with the order alternating; lockdep_overhead_8t is "
+        "the 8-thread median and carries the criterion, "
+        "lockdep_overhead_host_cpus (threads = host CPUs) is information. "
+        "runtime-off still pays held-set bookkeeping, the "
         "compile-time GRAPHITE_LOCKDEP=OFF build removes even that "
-        "(sizeof parity pinned by tests/lockdep_force_off_probe)\",\n");
+        "(sizeof parity pinned by tests/lockdep_force_off_probe)\",\n",
+        OVERHEAD_REPEATS);
+    printOverhead(f, "lockdep_overhead_8t_pairs", ov8);
+    printOverhead(f, "lockdep_overhead_host_cpus", ov_cpus);
     std::fprintf(f, "  \"lockdep_overhead_8t\": %.3f,\n", ld_overhead);
     std::fprintf(f,
                  "  \"uncontended_lock_unlock_ns\": {\"std_mutex\": "

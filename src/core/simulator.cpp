@@ -118,7 +118,7 @@ Simulator::Simulator(Config cfg)
             }
             return clocks;
         },
-        [this] { return fabric_->progress().estimate(); });
+        [this] { return fabric_->progress().estimate().value_or(0); });
 }
 
 Simulator::~Simulator()

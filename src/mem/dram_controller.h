@@ -85,7 +85,8 @@ class DramController
   private:
     cycle_t latency_;
     double bytesPerCycle_;
-    bool queueEnabled_;
+    /** Reference clock of the queue; nullptr disables queue modeling. */
+    const GlobalProgress* progress_;
     QueueModel queue_;
     stat_t accesses_ = 0;
     stat_t serviceTime_ = 0;

@@ -15,7 +15,7 @@ GlobalProgress::GlobalProgress(size_t window_size)
     window_.resize(window_size, 0);
 }
 
-void
+cycle_t
 GlobalProgress::observe(cycle_t timestamp)
 {
     lockdep::Guard lock(mutex_);
@@ -27,22 +27,16 @@ GlobalProgress::observe(cycle_t timestamp)
     window_[next_] = timestamp;
     sum_ += timestamp;
     next_ = (next_ + 1) % window_.size();
+    return static_cast<cycle_t>(sum_ / count_);
 }
 
-cycle_t
+std::optional<cycle_t>
 GlobalProgress::estimate() const
 {
     lockdep::Guard lock(mutex_);
     if (count_ == 0)
-        return 0;
+        return std::nullopt;
     return static_cast<cycle_t>(sum_ / count_);
-}
-
-size_t
-GlobalProgress::samples() const
-{
-    lockdep::Guard lock(mutex_);
-    return count_;
 }
 
 void

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/fixed_types.h"
@@ -32,7 +33,9 @@ class SnapshotReader;
 
 /**
  * Sliding-window average of recently observed message timestamps.
- * Thread-safe; observe() is called on every modeled message.
+ * Thread-safe; observe() is called once per modeled message and hands
+ * back the estimate the message's queues clamp against, so a packet
+ * takes this lock exactly once however many links it crosses.
  */
 class GlobalProgress
 {
@@ -40,14 +43,18 @@ class GlobalProgress
     /** @param window_size number of samples retained (>= 1). */
     explicit GlobalProgress(size_t window_size);
 
-    /** Record a message timestamp. */
-    void observe(cycle_t timestamp);
+    /**
+     * Record a message timestamp.
+     * @return the estimate including it: the mean of the window after
+     *         the sample went in, read under the same lock.
+     */
+    cycle_t observe(cycle_t timestamp);
 
-    /** @return current estimate of global progress (0 before any data). */
-    cycle_t estimate() const;
-
-    /** Number of samples observed so far (saturates at window size). */
-    size_t samples() const;
+    /**
+     * @return current estimate of global progress, or nothing before
+     *         the first sample (a queue then trusts raw arrivals).
+     */
+    std::optional<cycle_t> estimate() const;
 
     /** @name Checkpoint serialization @{ */
     void saveState(snapshot::SnapshotWriter& w) const;

@@ -28,26 +28,6 @@ MeshShape::hops(tile_id_t src, tile_id_t dst) const
     return std::abs(xOf(src) - xOf(dst)) + std::abs(yOf(src) - yOf(dst));
 }
 
-std::vector<int>
-MeshShape::route(tile_id_t src, tile_id_t dst) const
-{
-    std::vector<int> links;
-    int x = xOf(src), y = yOf(src);
-    const int dx = xOf(dst), dy = yOf(dst);
-    // X first, then Y (dimension-ordered, deadlock-free).
-    while (x != dx) {
-        int dir = (dx > x) ? 0 /*E*/ : 1 /*W*/;
-        links.push_back((y * width_ + x) * 4 + dir);
-        x += (dx > x) ? 1 : -1;
-    }
-    while (y != dy) {
-        int dir = (dy > y) ? 3 /*S*/ : 2 /*N*/;
-        links.push_back((y * width_ + x) * 4 + dir);
-        y += (dy > y) ? 1 : -1;
-    }
-    return links;
-}
-
 // ------------------------------------------------------- MagicNetworkModel
 
 cycle_t
@@ -109,8 +89,8 @@ EMeshContentionNetworkModel::EMeshContentionNetworkModel(
 {
     links_.reserve(shape_.numLinks());
     for (int i = 0; i < shape_.numLinks(); ++i)
-        links_.push_back(std::make_unique<QueueModel>(
-            progress_, outlier_window, max_backlog));
+        links_.push_back(
+            std::make_unique<QueueModel>(outlier_window, max_backlog));
 }
 
 cycle_t
@@ -127,21 +107,24 @@ EMeshContentionNetworkModel::computeLatencyEx(tile_id_t src,
                                               size_t bytes,
                                               cycle_t send_time)
 {
+    // One locked read of global progress per packet (§3.6.1), however
+    // many links the route crosses.
+    std::optional<cycle_t> now;
     if (progress_ != nullptr)
-        progress_->observe(send_time);
+        now = progress_->observe(send_time);
 
     NetBreakdown bd;
     const cycle_t service = serializationCycles(bytes);
     bd.serialization = service;
     cycle_t latency = service; // injection serialization
-    for (int link : shape_.route(src, dst)) {
+    shape_.forEachLink(src, dst, [&](int link) {
         cycle_t arrival = send_time + latency;
-        cycle_t queue_delay = links_[link]->enqueue(arrival, service);
+        cycle_t queue_delay = links_[link]->enqueue(arrival, service, now);
         latency += hopLatency_ + queue_delay;
         bd.hop += hopLatency_;
         bd.queue += queue_delay;
-    }
-    bd.hops = shape_.hops(src, dst);
+        ++bd.hops;
+    });
     bd.total = latency;
     account(bytes, latency, bd.hops);
     return bd;

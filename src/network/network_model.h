@@ -57,11 +57,29 @@ class MeshShape
     int hops(tile_id_t src, tile_id_t dst) const;
 
     /**
-     * Enumerate the directed links of the XY route src -> dst.
-     * Links are identified as tile*4 + direction (0=E,1=W,2=N,3=S),
-     * naming the link *leaving* that tile.
+     * Call @p visit(link) for each directed link of the XY route
+     * src -> dst, in route order, without building a list. Links are
+     * identified as tile*4 + direction (0=E,1=W,2=N,3=S), naming the
+     * link *leaving* that tile.
      */
-    std::vector<int> route(tile_id_t src, tile_id_t dst) const;
+    template <class Visit>
+    void
+    forEachLink(tile_id_t src, tile_id_t dst, Visit&& visit) const
+    {
+        int x = xOf(src), y = yOf(src);
+        const int dx = xOf(dst), dy = yOf(dst);
+        // X first, then Y (dimension-ordered, deadlock-free).
+        while (x != dx) {
+            const int step = dx > x ? 1 : -1;
+            visit((y * width_ + x) * 4 + (step > 0 ? 0 /*E*/ : 1 /*W*/));
+            x += step;
+        }
+        while (y != dy) {
+            const int step = dy > y ? 1 : -1;
+            visit((y * width_ + x) * 4 + (step > 0 ? 3 /*S*/ : 2 /*N*/));
+            y += step;
+        }
+    }
 
     /** Total number of directed link identifiers. */
     int numLinks() const { return width_ * height_ * 4; }
@@ -205,7 +223,9 @@ class EMeshHopNetworkModel : public NetworkModel
 /**
  * Mesh model with analytical per-link contention. Each directed link owns
  * a QueueModel; a packet accumulates hop latency, per-link queueing delay,
- * and serialization delay along its XY route.
+ * and serialization delay along its XY route. The packet's send time goes
+ * into the global-progress window once, at injection, and the estimate
+ * that comes back is the reference clock of every link on the route.
  */
 class EMeshContentionNetworkModel : public EMeshHopNetworkModel
 {

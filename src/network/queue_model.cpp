@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "network/global_progress.h"
 #include "snapshot/snapshot.h"
 
 namespace graphite
@@ -25,22 +24,19 @@ satAdd(cycle_t a, cycle_t b)
 
 } // namespace
 
-QueueModel::QueueModel(const GlobalProgress* progress,
-                       cycle_t outlier_window, cycle_t max_backlog)
-    : progress_(progress),
-      outlierWindow_(outlier_window),
-      maxBacklog_(max_backlog)
+QueueModel::QueueModel(cycle_t outlier_window, cycle_t max_backlog)
+    : outlierWindow_(outlier_window), maxBacklog_(max_backlog)
 {
 }
 
 cycle_t
-QueueModel::enqueue(cycle_t arrival_time, cycle_t processing_time)
+QueueModel::enqueue(cycle_t arrival_time, cycle_t processing_time,
+                    std::optional<cycle_t> now)
 {
     cycle_t effective_arrival = arrival_time;
-    if (progress_ != nullptr && progress_->samples() > 0) {
-        cycle_t now = progress_->estimate();
-        cycle_t lo = now > outlierWindow_ ? now - outlierWindow_ : 0;
-        cycle_t hi = satAdd(now, outlierWindow_);
+    if (now) {
+        cycle_t lo = *now > outlierWindow_ ? *now - outlierWindow_ : 0;
+        cycle_t hi = satAdd(*now, outlierWindow_);
         if (arrival_time < lo || arrival_time > hi) {
             effective_arrival = std::clamp(arrival_time, lo, hi);
         }

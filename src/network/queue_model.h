@@ -14,12 +14,17 @@
  *
  * Wildly out-of-range arrival timestamps (a thread far ahead/behind) are
  * clamped toward the global-progress estimate so one outlier cannot poison
- * the queue clock; the aggregate delay remains correct.
+ * the queue clock; the aggregate delay remains correct. The queue does not
+ * read that estimate itself: its caller passes it in, so a packet crossing
+ * many queues reads the estimate once (at injection) rather than once per
+ * queue.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <mutex>
+#include <optional>
 
 #include "common/fixed_types.h"
 #include "common/lockdep.h"
@@ -27,8 +32,6 @@
 
 namespace graphite
 {
-
-class GlobalProgress;
 
 namespace snapshot
 {
@@ -41,11 +44,8 @@ class QueueModel
 {
   public:
     /**
-     * @param progress       global-progress estimator used as the
-     *                       reference clock (may be nullptr: then the raw
-     *                       arrival timestamp is trusted)
      * @param outlier_window how far (cycles) an arrival timestamp may
-     *                       deviate from the progress estimate before it
+     *                       deviate from the reference clock before it
      *                       is clamped
      * @param max_backlog    finite-buffer bound: the queue clock may not
      *                       run more than this far ahead of an arriving
@@ -56,16 +56,25 @@ class QueueModel
      *                       dependent latency — into an unbounded
      *                       saturation spiral.
      */
-    explicit QueueModel(const GlobalProgress* progress,
-                        cycle_t outlier_window = 100000,
+    explicit QueueModel(cycle_t outlier_window = 100000,
                         cycle_t max_backlog = 10000);
+
+    /**
+     * The default queue, spelled as a null progress estimator (no
+     * reference clock): the form simbench's queue probe builds.
+     */
+    explicit QueueModel(std::nullptr_t) : QueueModel() {}
 
     /**
      * Model the arrival of a packet needing @p processing_time cycles of
      * service, stamped @p arrival_time by its sender.
+     * @param now reference clock, normally the caller's global-progress
+     *            estimate (GlobalProgress). Empty means there is no
+     *            estimate yet: the raw arrival timestamp is trusted.
      * @return queueing delay in cycles (excludes the service time itself).
      */
-    cycle_t enqueue(cycle_t arrival_time, cycle_t processing_time);
+    cycle_t enqueue(cycle_t arrival_time, cycle_t processing_time,
+                    std::optional<cycle_t> now = std::nullopt);
 
     /** Current queue clock (completion time of all queued work). */
     cycle_t queueClock() const;
@@ -83,7 +92,6 @@ class QueueModel
     /** @} */
 
   private:
-    const GlobalProgress* progress_;
     cycle_t outlierWindow_;
     cycle_t maxBacklog_;
     stat_t saturations_ = 0;

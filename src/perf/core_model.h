@@ -54,7 +54,9 @@ struct InstructionCosts
 /**
  * The in-order core model. Owned and driven by a single application
  * thread; the clock is readable concurrently (LaxP2P partners, the skew
- * tracker) so it is atomic.
+ * tracker) so it is atomic, and so is the retired-instruction count
+ * (metrics sampler, telemetry). The other statistics are read only
+ * after the run or with the owner quiescent.
  */
 class CoreModel
 {
@@ -111,6 +113,7 @@ class CoreModel
     /** @} */
 
     /** @name Statistics @{ */
+    /** Thread-safe read. */
     stat_t instructionsRetired() const { return instructions_; }
     stat_t instructionsOfClass(InstrClass c) const;
     stat_t loadStalls() const { return loadStalls_; }
@@ -141,7 +144,7 @@ class CoreModel
     size_t nextLoadSlot_ = 0;
     size_t nextStoreSlot_ = 0;
 
-    stat_t instructions_ = 0;
+    OwnedStat instructions_;
     std::array<stat_t, NUM_INSTR_CLASSES> perClass_{};
     stat_t loadStalls_ = 0;
     stat_t storeStalls_ = 0;

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "common/config.h"
 #include "common/log.h"
 #include "network/global_progress.h"
@@ -18,6 +22,34 @@ namespace graphite
 {
 namespace
 {
+
+/** splitmix64: a fixed, platform-independent script generator. */
+struct ScriptRng
+{
+    std::uint64_t s;
+    std::uint64_t
+    next()
+    {
+        std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+};
+
+/** FNV-1a over 64-bit words: folds a result sequence into one golden. */
+struct Fnv64
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
 
 // -------------------------------------------------------------- NetPacket
 
@@ -51,11 +83,10 @@ TEST(NetPacket, EmptyPayloadRoundTrip)
 TEST(GlobalProgress, AveragesWindow)
 {
     GlobalProgress gp(4);
-    EXPECT_EQ(gp.estimate(), 0u);
-    gp.observe(100);
-    gp.observe(200);
-    EXPECT_EQ(gp.estimate(), 150u);
-    EXPECT_EQ(gp.samples(), 2u);
+    EXPECT_FALSE(gp.estimate().has_value());
+    EXPECT_EQ(gp.observe(100), 100u);
+    EXPECT_EQ(gp.observe(200), 150u);
+    EXPECT_EQ(gp.estimate(), std::optional<cycle_t>(150));
 }
 
 TEST(GlobalProgress, OldSamplesAgeOut)
@@ -63,9 +94,43 @@ TEST(GlobalProgress, OldSamplesAgeOut)
     GlobalProgress gp(2);
     gp.observe(10);
     gp.observe(20);
-    gp.observe(30); // evicts 10
-    EXPECT_EQ(gp.estimate(), 25u);
-    EXPECT_EQ(gp.samples(), 2u);
+    EXPECT_EQ(gp.observe(30), 25u); // evicts 10
+    EXPECT_EQ(gp.estimate(), std::optional<cycle_t>(25));
+}
+
+TEST(GlobalProgress, ObserveReturnsWhatEstimateReadsAfterIt)
+{
+    // observe() hands back the window mean under its own lock; it must
+    // equal the separate observe-then-estimate() reading, and both must
+    // equal a reference mean, across window wraps and near the top of
+    // the u64 range, where the window sum needs more than 64 bits.
+    const cycle_t TOP = ~cycle_t{0};
+    std::vector<cycle_t> script;
+    for (cycle_t i = 0; i < 12; ++i)
+        script.push_back(1000 + 37 * i);
+    for (cycle_t i = 0; i < 12; ++i)
+        script.push_back(TOP - 3 * i); // window sum far above 2^64
+    for (cycle_t i = 0; i < 12; ++i)
+        script.push_back(i % 2 ? TOP - i : i); // mixed extremes
+    for (cycle_t i = 0; i < 12; ++i)
+        script.push_back(500 + i);
+
+    GlobalProgress returning(5);
+    GlobalProgress reading(5);
+    std::deque<cycle_t> window;
+    for (cycle_t ts : script) {
+        window.push_back(ts);
+        if (window.size() > 5)
+            window.pop_front();
+        unsigned __int128 sum = 0;
+        for (cycle_t w : window)
+            sum += w;
+        auto want = static_cast<cycle_t>(sum / window.size());
+
+        EXPECT_EQ(returning.observe(ts), want) << "timestamp " << ts;
+        reading.observe(ts);
+        EXPECT_EQ(reading.estimate(), std::optional<cycle_t>(want));
+    }
 }
 
 TEST(GlobalProgress, LargeWindowResistsOutliers)
@@ -83,7 +148,7 @@ TEST(GlobalProgress, LargeWindowResistsOutliers)
 
 TEST(QueueModel, NoDelayWhenIdle)
 {
-    QueueModel q(nullptr);
+    QueueModel q;
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.queueClock(), 110u);
 }
@@ -92,7 +157,7 @@ TEST(QueueModel, BackToBackPacketsQueue)
 {
     // Paper §3.6.1: delay is the difference between the queue clock and
     // the arrival; the queue clock advances by the processing time.
-    QueueModel q(nullptr);
+    QueueModel q;
     EXPECT_EQ(q.enqueue(100, 10), 0u);
     EXPECT_EQ(q.enqueue(100, 10), 10u);
     EXPECT_EQ(q.enqueue(100, 10), 20u);
@@ -102,19 +167,16 @@ TEST(QueueModel, BackToBackPacketsQueue)
 
 TEST(QueueModel, IdleGapDrainsQueue)
 {
-    QueueModel q(nullptr);
+    QueueModel q;
     q.enqueue(0, 10);
     EXPECT_EQ(q.enqueue(1000, 10), 0u); // long gap: no backlog
 }
 
 TEST(QueueModel, OutlierArrivalsClampToProgress)
 {
-    GlobalProgress gp(4);
-    gp.observe(1000000);
-    gp.observe(1000000);
-    QueueModel q(&gp, /*outlier_window=*/1000);
-    // Arrival absurdly in the past is clamped near the estimate.
-    q.enqueue(5, 10);
+    QueueModel q(/*outlier_window=*/1000);
+    // Arrival absurdly in the past is clamped near the reference clock.
+    q.enqueue(5, 10, cycle_t{1000000});
     EXPECT_GE(q.queueClock(), 999000u);
 }
 
@@ -122,7 +184,7 @@ TEST(QueueModel, BacklogIsBounded)
 {
     // Finite-buffer back-pressure: a dense burst cannot grow the delay
     // without bound (the saturation-spiral guard).
-    QueueModel q(nullptr, 100000, /*max_backlog=*/500);
+    QueueModel q(100000, /*max_backlog=*/500);
     for (int i = 0; i < 1000; ++i)
         q.enqueue(0, 100);
     EXPECT_LE(q.enqueue(0, 100), 600u);
@@ -134,8 +196,8 @@ TEST(QueueModel, EmptyHistoryWindowTrustsArrivals)
     // A progress estimator with no samples yet must not clamp: before
     // any thread reports, the raw arrival timestamp is the only truth.
     GlobalProgress gp(4);
-    QueueModel q(&gp, /*outlier_window=*/10);
-    EXPECT_EQ(q.enqueue(5000000, 10), 0u);
+    QueueModel q(/*outlier_window=*/10);
+    EXPECT_EQ(q.enqueue(5000000, 10, gp.estimate()), 0u);
     EXPECT_EQ(q.queueClock(), 5000010u);
     EXPECT_EQ(q.clampedArrivals(), 0u);
 }
@@ -146,7 +208,7 @@ TEST(QueueModel, CycleWraparoundSaturates)
     // the backlog bound must saturate instead of wrapping to small
     // values (which would read as a huge spurious backlog or none).
     const cycle_t NEAR_MAX = ~cycle_t{0} - 50;
-    QueueModel q(nullptr, 100000, 10000);
+    QueueModel q(100000, 10000);
     EXPECT_EQ(q.enqueue(NEAR_MAX, 200), 0u);
     EXPECT_EQ(q.queueClock(), ~cycle_t{0});
     // A later arrival sees a small, sane delay, not wrapped garbage.
@@ -158,12 +220,49 @@ TEST(QueueModel, WraparoundProgressEstimateSaturatesClampWindow)
 {
     GlobalProgress gp(2);
     gp.observe(~cycle_t{0} - 5);
-    gp.observe(~cycle_t{0} - 5);
-    QueueModel q(&gp, /*outlier_window=*/1000);
+    cycle_t now = gp.observe(~cycle_t{0} - 5);
+    QueueModel q(/*outlier_window=*/1000);
     // hi = estimate + window saturates; an arrival at the very top is
     // inside the window and must pass through unclamped.
-    q.enqueue(~cycle_t{0} - 2, 1);
+    q.enqueue(~cycle_t{0} - 2, 1, now);
     EXPECT_EQ(q.clampedArrivals(), 0u);
+}
+
+TEST(QueueModel, CallerClockReproducesGoldenScript)
+{
+    // A fixed script of arrivals (bursts, far-behind and far-ahead
+    // outliers) against a progress window that gets its first sample
+    // only at step 20. The golden values were recorded when the queue
+    // read the estimate itself; handing it the caller's reading must
+    // give the same delays, clamp and saturation counts.
+    GlobalProgress gp(8);
+    QueueModel q(/*outlier_window=*/500, /*max_backlog=*/200);
+    ScriptRng rng{7};
+    cycle_t base = 10000;
+    Fnv64 delays;
+    for (int i = 0; i < 400; ++i) {
+        std::optional<cycle_t> now = gp.estimate();
+        if (i >= 20 && rng.next() % 4 != 0)
+            now = gp.observe(base + rng.next() % 400);
+        std::uint64_t kind = rng.next() % 16;
+        cycle_t arrival = base + rng.next() % 100;
+        if (kind == 0)
+            arrival = base - 5000;
+        else if (kind == 1)
+            arrival = base + 50000;
+        cycle_t service = 1 + rng.next() % 40;
+        delays.add(q.enqueue(arrival, service, now));
+        if (i == 19) { // no samples yet: nothing may have been clamped
+            EXPECT_EQ(q.clampedArrivals(), 0u);
+        }
+        base += rng.next() % 30;
+    }
+    EXPECT_EQ(delays.h, 0x1b8a01cf308a80fbull);
+    EXPECT_EQ(q.totalQueueDelay(), 41606u);
+    EXPECT_EQ(q.clampedArrivals(), 33u);
+    EXPECT_EQ(q.saturations(), 97u);
+    EXPECT_EQ(q.queueClock(), 16130u);
+    EXPECT_EQ(q.totalRequests(), 400u);
 }
 
 // --------------------------------------------------------------- MeshShape
@@ -189,13 +288,40 @@ TEST(MeshShape, ManhattanHops)
     EXPECT_EQ(m.hops(5, 6), 1);
 }
 
-TEST(MeshShape, XYRouteLengthMatchesHops)
+/** The XY route as a list, built the straightforward way. */
+std::vector<int>
+referenceRoute(const MeshShape& m, tile_id_t src, tile_id_t dst)
 {
-    MeshShape m(16);
-    for (tile_id_t s = 0; s < 16; ++s) {
-        for (tile_id_t d = 0; d < 16; ++d) {
-            EXPECT_EQ(static_cast<int>(m.route(s, d).size()),
-                      m.hops(s, d));
+    std::vector<int> links;
+    int x = m.xOf(src), y = m.yOf(src);
+    const int dx = m.xOf(dst), dy = m.yOf(dst);
+    while (x != dx) {
+        links.push_back((y * m.width() + x) * 4 + ((dx > x) ? 0 : 1));
+        x += (dx > x) ? 1 : -1;
+    }
+    while (y != dy) {
+        links.push_back((y * m.width() + x) * 4 + ((dy > y) ? 3 : 2));
+        y += (dy > y) ? 1 : -1;
+    }
+    return links;
+}
+
+TEST(MeshShape, RouteWalkMatchesReferenceForEveryPair)
+{
+    for (tile_id_t tiles : {10, 16, 64, 1024}) {
+        MeshShape m(tiles);
+        std::vector<int> walked;
+        for (tile_id_t s = 0; s < tiles; ++s) {
+            for (tile_id_t d = 0; d < tiles; ++d) {
+                walked.clear();
+                m.forEachLink(s, d, [&](int l) { walked.push_back(l); });
+                if (walked != referenceRoute(m, s, d) ||
+                    static_cast<int>(walked.size()) != m.hops(s, d)) {
+                    ADD_FAILURE() << tiles << " tiles: route " << s
+                                  << " -> " << d << " differs";
+                    return;
+                }
+            }
         }
     }
 }
@@ -230,6 +356,53 @@ TEST(NetworkModel, ContentionAddsUnderLoad)
         burst = model.computeLatency(0, 3, 64, 1000);
     EXPECT_GT(burst, first);
     EXPECT_GT(model.totalContentionDelay(), 0u);
+}
+
+TEST(NetworkModel, ContentionGoldenSequence)
+{
+    // 1,000 packets on an 8x8 mesh: a hot destination, header-only and
+    // line-sized packets, and send times far ahead of and behind the
+    // window. The golden was recorded when every link read the global
+    // progress estimate itself; reading it once at injection must not
+    // move a single latency.
+    GlobalProgress gp(64);
+    EMeshContentionNetworkModel model(64, 2, 8, &gp,
+                                      /*outlier_window=*/3000,
+                                      /*max_backlog=*/400);
+    ScriptRng rng{42};
+    cycle_t t = 1000;
+    Fnv64 seq;
+    stat_t sum_total = 0, sum_queue = 0;
+    for (int i = 0; i < 1000; ++i) {
+        auto src = static_cast<tile_id_t>(rng.next() % 64);
+        auto dst = static_cast<tile_id_t>(rng.next() % 64);
+        if (rng.next() % 3 == 0)
+            dst = 27;
+        size_t bytes = rng.next() % 2 ? 72 : 8;
+        cycle_t send = t + rng.next() % 200;
+        std::uint64_t kind = rng.next() % 25;
+        if (kind == 0)
+            send = t + 20000;
+        else if (kind == 1)
+            send = t / 2;
+        t += rng.next() % 50;
+        NetBreakdown bd = model.computeLatencyEx(src, dst, bytes, send);
+        ASSERT_EQ(bd.total, bd.hop + bd.queue + bd.serialization);
+        seq.add(bd.total);
+        seq.add(bd.queue);
+        seq.add(bd.hop);
+        seq.add(bd.serialization);
+        seq.add(static_cast<std::uint64_t>(bd.hops));
+        sum_total += bd.total;
+        sum_queue += bd.queue;
+    }
+    EXPECT_EQ(seq.h, 0x2aa5c0014e3ea3bfull);
+    EXPECT_EQ(sum_total, 182966u);
+    EXPECT_EQ(sum_queue, 168176u);
+    EXPECT_EQ(model.totalContentionDelay(), 168176u);
+    EXPECT_EQ(model.totalLatency(), 182966u);
+    EXPECT_EQ(model.totalHops(), 4839u);
+    EXPECT_EQ(model.packetsRouted(), 1000u);
 }
 
 TEST(NetworkModel, FactoryRejectsUnknownType)
