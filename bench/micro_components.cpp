@@ -56,9 +56,8 @@ void
 BM_CacheHitProbe(benchmark::State& state)
 {
     Cache cache("bench", 32768, 8, 64);
-    std::vector<std::uint8_t> line(64, 0);
     for (addr_t a = 0; a < 8192; a += 64)
-        cache.insert(a, CacheState::Shared, line);
+        cache.insert(a, CacheState::Shared);
     addr_t a = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(a, false));

@@ -18,13 +18,15 @@
  *
  * Hot counters are sharded, not shared: each owner (a tile, a shard)
  * keeps its own OwnedStat or HistogramStat, written only under its own
- * lock, and readers sum or merge the parts. Aggregation helpers sum
+ * lock, or its own ShardedCounters block when writers share no lock,
+ * and readers sum or merge the parts. Aggregation helpers sum
  * statistics across tiles at reporting time; snapshot() flattens
  * everything to (name, value) pairs for the obs-layer interval sampler.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -89,6 +91,58 @@ class OwnedStat
 
   private:
     atomic_stat_t v_{0};
+};
+
+/**
+ * @p N counters kept once per shard (a source tile), each shard's block
+ * on its own cache line: writers on different shards never share a
+ * line, and readers sum the shards. For counters several threads may
+ * bump for one shard at once (so add() is a relaxed fetch_add), where
+ * OwnedStat's single-writer rule does not hold.
+ */
+template <std::size_t N>
+class ShardedCounters
+{
+  public:
+    explicit ShardedCounters(std::size_t shards)
+        : blocks_(std::max<std::size_t>(shards, 1))
+    {
+    }
+
+    void
+    add(std::size_t shard, std::size_t i, stat_t n)
+    {
+        blocks_[shard].v[i].fetch_add(n, std::memory_order_relaxed);
+    }
+
+    /** Counter @p i summed over all shards. */
+    stat_t
+    sum(std::size_t i) const
+    {
+        stat_t total = 0;
+        for (const Block& b : blocks_)
+            total += b.v[i].load(std::memory_order_relaxed);
+        return total;
+    }
+
+    /**
+     * Set counter @p i's total (snapshot restore): shard 0 takes it and
+     * the others are zeroed. Not concurrent with add().
+     */
+    void
+    assign(std::size_t i, stat_t total)
+    {
+        for (Block& b : blocks_)
+            b.v[i].store(0, std::memory_order_relaxed);
+        blocks_[0].v[i].store(total, std::memory_order_relaxed);
+    }
+
+  private:
+    struct alignas(64) Block
+    {
+        std::array<atomic_stat_t, N> v{};
+    };
+    std::vector<Block> blocks_;
 };
 
 /** A gauge: evaluated at read time. Must be safe to call concurrently. */

@@ -27,13 +27,21 @@ Cache::Cache(std::string name, std::uint64_t size_bytes,
         fatal("cache {}: size {} not divisible by line*assoc", name_,
               size_bytes);
     numSets_ = size_bytes / (line_size * assoc_);
-    lines_.resize(numSets_ * assoc_);
+    const std::uint64_t lines = numSets_ * assoc_;
+    if (lines > UINT32_MAX)
+        fatal("cache {}: {} lines exceed the 2^32 slot limit", name_,
+              lines);
+    lineShift_ = std::countr_zero(line_size);
+    setsPow2_ = std::has_single_bit(numSets_);
+    lines_ = ZeroArray<CacheLine>(lines);
+    slab_ = ZeroArray<std::uint8_t>(size_bytes);
+    filledSets_.resize((numSets_ + 63) / 64);
 }
 
-std::uint64_t
-Cache::setIndex(addr_t line_addr) const
+void
+Cache::markFilled(std::uint64_t set)
 {
-    return (line_addr / lineSize_) % numSets_;
+    filledSets_[set / 64] |= std::uint64_t{1} << (set % 64);
 }
 
 CacheLine*
@@ -130,39 +138,41 @@ Cache::peekVictim(addr_t line_addr) const
     return victim->lineAddr;
 }
 
-std::optional<Eviction>
-Cache::insert(addr_t line_addr, CacheState state,
-              std::vector<std::uint8_t> data)
+Insertion
+Cache::insert(addr_t line_addr, CacheState state)
 {
     GRAPHITE_ASSERT(lineAlign(line_addr) == line_addr);
-    GRAPHITE_ASSERT(data.size() == lineSize_);
     GRAPHITE_ASSERT(state != CacheState::Invalid);
     GRAPHITE_ASSERT(lookup(line_addr) == nullptr);
 
     std::uint64_t set = setIndex(line_addr);
     CacheLine* base = &lines_[set * assoc_];
-    CacheLine* victim = nullptr;
+    int way = -1;
     for (int w = 0; w < assoc_; ++w) {
         if (!base[w].valid()) {
-            victim = &base[w];
+            way = w;
             break;
         }
-        if (victim == nullptr || base[w].lruStamp < victim->lruStamp)
-            victim = &base[w];
+        if (way < 0 || base[w].lruStamp < base[way].lruStamp)
+            way = w;
     }
 
-    std::optional<Eviction> evicted;
-    if (victim->valid()) {
+    CacheLine& line = base[way];
+    Insertion out;
+    if (line.valid()) {
         ++evictions_;
-        evicted = Eviction{victim->lineAddr,
-                           victim->state == CacheState::Modified,
-                           std::move(victim->data)};
+        out.victim = Eviction{line.lineAddr,
+                              line.state == CacheState::Modified,
+                              data(line)};
     }
-    victim->lineAddr = line_addr;
-    victim->state = state;
-    victim->lruStamp = ++lruCounter_;
-    victim->data = std::move(data);
-    return evicted;
+    line.lineAddr = line_addr;
+    line.state = state;
+    line.lruStamp = ++lruCounter_;
+    line.slot = static_cast<std::uint32_t>(
+        static_cast<std::uint64_t>(way) * numSets_ + set);
+    markFilled(set);
+    out.data = data(line);
+    return out;
 }
 
 std::optional<Eviction>
@@ -173,21 +183,20 @@ Cache::invalidate(addr_t line_addr)
         return std::nullopt;
     ++invalidations_;
     Eviction out{line->lineAddr, line->state == CacheState::Modified,
-                 std::move(line->data)};
+                 data(*line)};
     line->state = CacheState::Invalid;
-    line->data.clear();
     return out;
 }
 
-std::optional<std::vector<std::uint8_t>>
+std::span<const std::uint8_t>
 Cache::downgrade(addr_t line_addr)
 {
     CacheLine* line = lookup(line_addr);
     if (line == nullptr || (line->state != CacheState::Modified &&
                             line->state != CacheState::Exclusive))
-        return std::nullopt;
+        return {};
     line->state = CacheState::Shared;
-    return line->data; // copy: line keeps its data in Shared state
+    return data(*line); // the line keeps its bytes in Shared state
 }
 
 double
@@ -202,10 +211,19 @@ Cache::missRate() const
 std::vector<const CacheLine*>
 Cache::validLines() const
 {
+    // Only sets that ever held a line are read, so the tag pages of a
+    // sparse cache stay untouched.
     std::vector<const CacheLine*> out;
-    for (const auto& line : lines_) {
-        if (line.valid())
-            out.push_back(&line);
+    for (std::size_t word = 0; word < filledSets_.size(); ++word) {
+        for (std::uint64_t bits = filledSets_[word]; bits != 0;
+             bits &= bits - 1) {
+            const std::uint64_t set = word * 64 + std::countr_zero(bits);
+            for (int w = 0; w < assoc_; ++w) {
+                const CacheLine& line = lines_[set * assoc_ + w];
+                if (line.valid())
+                    out.push_back(&line);
+            }
+        }
     }
     return out;
 }
@@ -219,11 +237,15 @@ Cache::saveState(snapshot::SnapshotWriter& w) const
     w.u64(misses_);
     w.u64(evictions_);
     w.u64(invalidations_);
+    // A valid line carries lineSize_ bytes and an invalid one none: the
+    // layout the per-line byte vectors of earlier versions produced.
     for (const CacheLine& line : lines_) {
         w.u64(line.lineAddr);
         w.u8(static_cast<std::uint8_t>(line.state));
         w.u64(line.lruStamp);
-        w.bytes(line.data.data(), line.data.size());
+        const auto bytes = line.valid() ? data(line)
+                                        : std::span<const std::uint8_t>{};
+        w.bytes(bytes.data(), bytes.size());
     }
 }
 
@@ -241,17 +263,22 @@ Cache::loadState(snapshot::SnapshotReader& r)
     misses_ = r.u64();
     evictions_ = r.u64();
     invalidations_ = r.u64();
-    for (CacheLine& line : lines_) {
-        line.lineAddr = r.u64();
-        line.state = static_cast<CacheState>(r.u8());
-        line.lruStamp = r.u64();
-        std::vector<std::uint8_t> data = r.bytes();
-        if (!data.empty() && data.size() != lineSize_)
-            throw snapshot::SnapshotError(
-                strfmt("snapshot: cache '{}' line data is {} bytes "
-                       "(line size {})",
-                       name_, data.size(), lineSize_));
-        line.data = std::move(data);
+    for (std::uint64_t set = 0; set < numSets_; ++set) {
+        for (int way = 0; way < assoc_; ++way) {
+            CacheLine& line = lines_[set * assoc_ + way];
+            line.lineAddr = r.u64();
+            line.state = static_cast<CacheState>(r.u8());
+            line.lruStamp = r.u64();
+            line.slot = static_cast<std::uint32_t>(
+                static_cast<std::uint64_t>(way) * numSets_ + set);
+            std::uint8_t none = 0;
+            if (line.valid()) {
+                markFilled(set);
+                r.bytesInto(data(line).data(), lineSize_);
+            } else {
+                r.bytesInto(&none, 0);
+            }
+        }
     }
 }
 

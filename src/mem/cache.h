@@ -11,6 +11,25 @@
  * actual bytes of the simulated address space; a coherence bug corrupts
  * application results, making the protocol self-verifying.
  *
+ * Storage layout: each cache owns two flat blocks, both mapped as
+ * zero-on-demand pages (common/zero_array.h), so building a cache runs
+ * no per-line constructor and touches no memory:
+ *
+ *  - a tag/state/LRU array of CacheLine, set-major (a set's ways are
+ *    adjacent, so a lookup reads one contiguous run);
+ *  - a data slab of numSets * associativity * lineSize bytes, way-major:
+ *    line (set, way) lives at byte (way * numSets + set) * lineSize.
+ *
+ * The slab is way-major because insert() fills the lowest free way
+ * first: a cache that holds few lines per set touches only the pages of
+ * its first ways, so resident memory follows the working set rather than
+ * the configured capacity. A set-major slab would put every set's ways
+ * on one page, so a sparse fill would touch every page.
+ *
+ * Line bytes never leave the slab: insert(), invalidate(), downgrade()
+ * and evictions hand out spans into it, so a coherence miss makes no
+ * heap allocation.
+ *
  * Thread-safety: all mutation happens under the owning tile's lock
  * (MemorySystem's two-level locking scheme; see DESIGN.md
  * §"Coherence-transaction serialization"); Cache itself is not
@@ -23,11 +42,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/fixed_types.h"
 #include "common/stats.h"
+#include "common/zero_array.h"
 
 namespace graphite
 {
@@ -57,23 +78,43 @@ enum class EvictReason : std::uint8_t
     Downgrade    ///< lost write permission but stayed Shared
 };
 
-/** One cache line: tag, state, and functional data. */
+/**
+ * One cache line's tag, state and LRU stamp. Its bytes live in the
+ * owning Cache's data slab (Cache::data()). All-zero is the Invalid
+ * line, so a zero-filled array is a valid empty cache.
+ */
 struct CacheLine
 {
     addr_t lineAddr = 0; ///< address of first byte, line-aligned
-    CacheState state = CacheState::Invalid;
     std::uint64_t lruStamp = 0;
-    std::vector<std::uint8_t> data;
+    CacheState state = CacheState::Invalid;
+    /** way * numSets + set: the line's index in the slab (set on fill). */
+    std::uint32_t slot = 0;
 
     bool valid() const { return state != CacheState::Invalid; }
 };
 
-/** Result of an eviction: the victim line's identity and contents. */
+/**
+ * A line that left the cache: its identity and a view of its bytes in
+ * the slab. The view stays valid until that way is filled again.
+ */
 struct Eviction
 {
     addr_t lineAddr = 0;
     bool dirty = false;
-    std::vector<std::uint8_t> data;
+    std::span<const std::uint8_t> data;
+};
+
+/** A way claimed by Cache::insert(). */
+struct Insertion
+{
+    /** The new line's lineSize() bytes, for the caller to fill. */
+    std::span<std::uint8_t> data;
+    /**
+     * The valid line this insertion replaced. Its bytes are still in
+     * @c data: read them before filling.
+     */
+    std::optional<Eviction> victim;
 };
 
 /** Outcome of a side-effect-free permission probe (see Cache::probe). */
@@ -137,26 +178,39 @@ class Cache
     std::optional<addr_t> peekVictim(addr_t line_addr) const;
 
     /**
-     * Insert a line (must not already be present).
+     * Claim a way for a line that is not present: the lowest free way
+     * of its set, else the LRU victim. The caller fills the returned
+     * bytes (after reading the victim's, which share them).
      * @param line_addr line-aligned address
      * @param state     initial MSI state
-     * @param data      exactly lineSize() bytes
-     * @return the replaced victim, if one was valid.
      */
-    std::optional<Eviction> insert(addr_t line_addr, CacheState state,
-                                   std::vector<std::uint8_t> data);
+    Insertion insert(addr_t line_addr, CacheState state);
 
     /**
      * Remove the line (coherence invalidation).
-     * @return the line's data and dirtiness if it was present.
+     * @return the line's bytes and dirtiness if it was present.
      */
     std::optional<Eviction> invalidate(addr_t line_addr);
 
     /**
      * Downgrade Modified/Exclusive -> Shared.
-     * @return the line's data if it held ownership.
+     * @return the line's bytes if it held ownership, else empty.
      */
-    std::optional<std::vector<std::uint8_t>> downgrade(addr_t line_addr);
+    std::span<const std::uint8_t> downgrade(addr_t line_addr);
+
+    /** The bytes of a valid line of this cache. */
+    std::span<std::uint8_t>
+    data(const CacheLine& line)
+    {
+        return {slab_.data() + (std::size_t{line.slot} << lineShift_),
+                lineSize_};
+    }
+    std::span<const std::uint8_t>
+    data(const CacheLine& line) const
+    {
+        return {slab_.data() + (std::size_t{line.slot} << lineShift_),
+                lineSize_};
+    }
 
     /** @name Geometry @{ */
     std::uint64_t lineSize() const { return lineSize_; }
@@ -175,7 +229,10 @@ class Cache
     double missRate() const;
     /** @} */
 
-    /** Enumerate valid lines (for invariant checks in tests). */
+    /**
+     * Enumerate valid lines in set-major order (for invariant checks).
+     * Reads only the sets that have ever held a line.
+     */
     std::vector<const CacheLine*> validLines() const;
 
     /** @name Checkpoint serialization (caller holds the tile lock) @{ */
@@ -185,16 +242,28 @@ class Cache
     /** @} */
 
   private:
-    std::uint64_t setIndex(addr_t line_addr) const;
+    /** Shift and mask rather than divide when numSets_ is a power of 2. */
+    std::uint64_t
+    setIndex(addr_t line_addr) const
+    {
+        const std::uint64_t block = line_addr >> lineShift_;
+        return setsPow2_ ? block & (numSets_ - 1) : block % numSets_;
+    }
     CacheLine* lookup(addr_t line_addr);
     const CacheLine* lookup(addr_t line_addr) const;
+    void markFilled(std::uint64_t set);
 
     std::string name_;
     std::uint64_t capacity_;
     int assoc_;
     std::uint64_t lineSize_;
+    int lineShift_;
     std::uint64_t numSets_;
-    std::vector<CacheLine> lines_; ///< numSets_ * assoc_, set-major
+    bool setsPow2_;
+    ZeroArray<CacheLine> lines_;   ///< numSets_ * assoc_, set-major
+    ZeroArray<std::uint8_t> slab_; ///< capacity_ bytes, way-major
+    /** One bit per set that has ever held a line (see validLines()). */
+    std::vector<std::uint64_t> filledSets_;
     std::uint64_t lruCounter_ = 0;
 
     OwnedStat accesses_;

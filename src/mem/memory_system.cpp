@@ -324,10 +324,9 @@ MemorySystem::recordMiss(tile_id_t tile, TileMemory& tm, MissClass mc,
 
 // ----------------------------------------------------------- functional ops
 
-void
+std::span<const std::uint8_t>
 MemorySystem::invalidateTile(tile_id_t holder, addr_t line_addr,
-                             bool coherence,
-                             std::vector<std::uint8_t>* data_out)
+                             bool coherence)
 {
     // Caller holds the holder's tile lock and the line's home shard.
     TileMemory& tm = tiles_[holder];
@@ -336,12 +335,11 @@ MemorySystem::invalidateTile(tile_id_t holder, addr_t line_addr,
     if (tm.l1i)
         tm.l1i->invalidate(line_addr);
     auto ev = tm.l2->invalidate(line_addr);
-    if (ev) {
-        if (coherence)
-            snapshotLoss(holder, line_addr, EvictReason::Invalidation);
-        if (data_out)
-            *data_out = std::move(ev->data);
-    }
+    if (!ev)
+        return {};
+    if (coherence)
+        snapshotLoss(holder, line_addr, EvictReason::Invalidation);
+    return ev->data;
 }
 
 void
@@ -426,18 +424,20 @@ MemorySystem::handleL2Eviction(tile_id_t tile, const Eviction& ev,
 }
 
 void
-MemorySystem::refreshL1(Cache* l1, const CacheLine& l2line, bool is_write,
-                        addr_t addr, size_t size)
+MemorySystem::refreshL1(Cache* l1, std::span<const std::uint8_t> l2data,
+                        bool is_write, addr_t addr, size_t size)
 {
     if (!l1)
         return;
     // L1 is write-through: copies are always clean Shared; victims drop.
     CacheLine* l1line = l1->find(addr);
     if (l1line == nullptr) {
-        l1->insert(l2line.lineAddr, CacheState::Shared, l2line.data);
+        std::ranges::copy(
+            l2data, l1->insert(lineAlign(addr), CacheState::Shared)
+                        .data.begin());
     } else if (is_write) {
-        std::uint64_t off = addr - l2line.lineAddr;
-        std::memcpy(l1line->data.data() + off, l2line.data.data() + off,
+        std::uint64_t off = addr - lineAlign(addr);
+        std::memcpy(l1->data(*l1line).data() + off, l2data.data() + off,
                     size);
     }
 }
@@ -460,8 +460,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
 
     // Fuzz-harness fault injection: a sabotaged DRAM fill returns one
     // flipped bit, emulating a stale/corrupt memory response.
-    auto fill_from_memory = [&](std::vector<std::uint8_t>& d) {
-        d.resize(lineSize_);
+    auto fill_from_memory = [&](std::span<std::uint8_t> d) {
         backing_.read(line_addr, d.data(), lineSize_);
         if (check::FaultPlan::armed() &&
             check::FaultPlan::instance().shouldFire(
@@ -499,7 +498,10 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
     lat += dirLatency_;
 
     DirectoryEntry& entry = dir.entry(line_addr);
-    std::vector<std::uint8_t> data;
+    // Where the requester's copy comes from: a recalled owner's bytes,
+    // or memory when empty. The copy is made straight into the
+    // requester's L2 way once it is claimed.
+    std::span<const std::uint8_t> from_owner;
     bool grant_exclusive = false; // MESI: sole clean copy
 
     switch (entry.state()) {
@@ -512,7 +514,6 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             markDram(sb, dbd, now + lat);
             lat += dbd.total;
         }
-        fill_from_memory(data);
         if (mesi_ && !for_write)
             grant_exclusive = true;
         break;
@@ -534,8 +535,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
                 cycle_t rt =
                     msg(home, s, CTRL_BYTES, now + lat, nullptr,
                         obs::accuracy::ViolationPoint::MemInvalidation);
-                invalidateTile(s, line_addr, /*coherence=*/true,
-                               nullptr);
+                invalidateTile(s, line_addr, /*coherence=*/true);
                 rt +=
                     msg(s, home, CTRL_BYTES, now + lat + rt, nullptr,
                         obs::accuracy::ViolationPoint::MemInvalidation);
@@ -556,7 +556,6 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
                     markDram(sb, dbd, now + lat);
                     lat += dbd.total;
                 }
-                fill_from_memory(data);
             }
         } else {
             if (!ff) {
@@ -565,7 +564,6 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
                 markDram(sb, dbd, now + lat);
                 lat += dbd.total;
             }
-            fill_from_memory(data);
         }
         break;
       }
@@ -592,17 +590,13 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
         CacheLine* owner_line = otm.l2->find(line_addr);
         GRAPHITE_ASSERT(owner_line != nullptr);
         bool owner_dirty = owner_line->state == CacheState::Modified;
-        if (for_write) {
-            std::vector<std::uint8_t> owner_data;
-            invalidateTile(owner, line_addr, /*coherence=*/true,
-                           &owner_data);
-            GRAPHITE_ASSERT(owner_data.size() == lineSize_);
-            data = std::move(owner_data);
-        } else {
-            auto owner_data = otm.l2->downgrade(line_addr);
-            GRAPHITE_ASSERT(owner_data.has_value());
-            data = std::move(*owner_data);
-        }
+        // The owner's bytes stay in its slab until that way is refilled,
+        // which cannot happen while this transaction holds its lock.
+        from_owner =
+            for_write
+                ? invalidateTile(owner, line_addr, /*coherence=*/true)
+                : otm.l2->downgrade(line_addr);
+        GRAPHITE_ASSERT(from_owner.size() == lineSize_);
         {
             cycle_t m =
                 msg(owner, home, lineSize_ + CTRL_BYTES, now + lat,
@@ -617,7 +611,8 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             // The requester pays the occupancy (this also closes the
             // queueing feedback loop: demand on a saturated controller
             // throttles the threads generating it).
-            backing_.write(line_addr, data.data(), data.size());
+            backing_.write(line_addr, from_owner.data(),
+                           from_owner.size());
             if (!ff) {
                 auto dbd = shards_[home].dram->accessEx(
                     now + lat, lineSize_ + CTRL_BYTES);
@@ -668,8 +663,7 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             cycle_t rt =
                 msg(home, victim, CTRL_BYTES, now + lat, nullptr,
                     obs::accuracy::ViolationPoint::MemInvalidation);
-            invalidateTile(victim, line_addr, /*coherence=*/true,
-                           nullptr);
+            invalidateTile(victim, line_addr, /*coherence=*/true);
             rt +=
                 msg(victim, home, CTRL_BYTES, now + lat + rt, nullptr,
                     obs::accuracy::ViolationPoint::MemInvalidation);
@@ -697,11 +691,10 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
         if (sb)
             markNet(sb, nbd, now + lat, /*reply=*/true);
         lat += m;
-        GRAPHITE_ASSERT(data.size() == lineSize_);
         CacheState install = for_write ? CacheState::Modified
                              : grant_exclusive ? CacheState::Exclusive
                                                : CacheState::Shared;
-        auto ev = tm.l2->insert(line_addr, install, std::move(data));
+        Insertion ins = tm.l2->insert(line_addr, install);
         if (!ff) {
             // Classification tracking pauses during fast-forward (the
             // documented warmup caveat: post-ROI cold/coherence split
@@ -709,8 +702,14 @@ MemorySystem::fetchLineLocked(tile_id_t tile, addr_t line_addr,
             tm.everCached.insert(line_addr);
             tm.lostLines.erase(line_addr);
         }
-        if (ev)
-            handleL2Eviction(tile, *ev, now + lat);
+        // The victim's bytes share the claimed way: write them back
+        // before the fill overwrites them.
+        if (ins.victim)
+            handleL2Eviction(tile, *ins.victim, now + lat);
+        if (from_owner.empty())
+            fill_from_memory(ins.data);
+        else
+            std::ranges::copy(from_owner, ins.data.begin());
     }
     GRAPHITE_ASSERT(lat < (1ull << 39));
     return lat;
@@ -755,13 +754,12 @@ MemorySystem::lockHomeAndDemote(addr_t line_addr)
         tile_locks.push_back(lockCounted(tiles_[id]));
 
     if (entry->state() == DirectoryState::Modified) {
-        std::vector<std::uint8_t> data;
-        invalidateTile(entry->owner(), line_addr, /*coherence=*/false,
-                       &data);
+        auto data = invalidateTile(entry->owner(), line_addr,
+                                   /*coherence=*/false);
         backing_.write(line_addr, data.data(), data.size());
     } else {
         for (tile_id_t s : holder_ids)
-            invalidateTile(s, line_addr, /*coherence=*/false, nullptr);
+            invalidateTile(s, line_addr, /*coherence=*/false);
     }
     entry->setState(DirectoryState::Uncached);
     entry->setOwner(INVALID_TILE_ID);
@@ -816,8 +814,9 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
         GRAPHITE_ASSERT(l2line != nullptr);
         GRAPHITE_ASSERT(!is_write ||
                         l2line->state == CacheState::Modified);
-        commit(*l2line);
-        refreshL1(l1, *l2line, is_write, addr, size);
+        const std::span<std::uint8_t> bytes = tm.l2->data(*l2line);
+        commit(bytes);
+        refreshL1(l1, bytes, is_write, addr, size);
         finishAccess(tm, res);
     };
     // The fast path: complete the access if the tile's own caches hold
@@ -832,7 +831,7 @@ MemorySystem::transact(tile_id_t tile, Cache* l1, bool is_write,
             res.l1Hit = true;
             CacheLine* l1line = l1->access(addr, /*is_write=*/false);
             GRAPHITE_ASSERT(l1line != nullptr);
-            commit(*l1line);
+            commit(l1->data(*l1line));
             finishAccess(tm, res);
             return true;
         }
@@ -940,14 +939,15 @@ MemorySystem::accessLine(tile_id_t tile, MemAccessType type, addr_t addr,
     const std::uint64_t off = addr - lineAlign(addr);
     if (is_write)
         return transact(tile, l1, true, addr, size, start_time,
-                        obs::SpanKind::WriteMiss, [&](CacheLine& line) {
+                        obs::SpanKind::WriteMiss,
+                        [&](std::span<std::uint8_t> line) {
                             bumpVersions(addr, size);
-                            std::memcpy(line.data.data() + off, buf,
-                                        size);
+                            std::memcpy(line.data() + off, buf, size);
                         });
     return transact(tile, l1, false, addr, size, start_time,
-                    obs::SpanKind::ReadMiss, [&](CacheLine& line) {
-                        std::memcpy(buf, line.data.data() + off, size);
+                    obs::SpanKind::ReadMiss,
+                    [&](std::span<std::uint8_t> line) {
+                        std::memcpy(buf, line.data() + off, size);
                     });
 }
 
@@ -1010,18 +1010,20 @@ MemorySystem::atomicRmw(tile_id_t tile, addr_t addr, size_t size,
     const std::uint64_t off = addr - lineAlign(addr);
     AccessResult res = transact(
         tile, nullptr, true, addr, size, start_time,
-        obs::SpanKind::Atomic, [&](CacheLine& line) {
-            std::memcpy(&old_val, line.data.data() + off, size);
+        obs::SpanKind::Atomic, [&](std::span<std::uint8_t> line) {
+            std::memcpy(&old_val, line.data() + off, size);
             std::uint64_t new_val = op(old_val);
             bumpVersions(addr, size);
-            std::memcpy(line.data.data() + off, &new_val, size);
+            std::memcpy(line.data() + off, &new_val, size);
             // Keep any L1 copy in sync (write-through).
             CacheLine* l1line = tm.l1d ? tm.l1d->find(addr) : nullptr;
             if (l1line != nullptr &&
                 !(check::FaultPlan::armed() &&
                   check::FaultPlan::instance().shouldFire(
-                      check::FaultMode::SkipReleaseFence, line.lineAddr)))
-                std::memcpy(l1line->data.data() + off, &new_val, size);
+                      check::FaultMode::SkipReleaseFence,
+                      lineAlign(addr))))
+                std::memcpy(tm.l1d->data(*l1line).data() + off, &new_val,
+                            size);
         });
     return {old_val, res.latency};
 }
@@ -1046,9 +1048,10 @@ MemorySystem::readCoherent(addr_t addr, void* buf, size_t size)
             entry->state() == DirectoryState::Modified) {
             tile_id_t owner = entry->owner();
             auto tile_lock = lockCounted(tiles_[owner]);
-            CacheLine* line = tiles_[owner].l2->find(line_addr);
+            Cache& l2 = *tiles_[owner].l2;
+            CacheLine* line = l2.find(line_addr);
             GRAPHITE_ASSERT(line != nullptr);
-            std::memcpy(out, line->data.data() + (addr - line_addr),
+            std::memcpy(out, l2.data(*line).data() + (addr - line_addr),
                         chunk);
         } else {
             backing_.read(addr, out, chunk);
@@ -1222,17 +1225,18 @@ MemorySystem::validateCoherence()
             }
         }
         // Inclusion + data agreement for L1 copies.
-        for (Cache* l1 : {tiles_[t].l1d.get(), tiles_[t].l1i.get()}) {
+        const Cache& l2 = *tiles_[t].l2;
+        for (const Cache* l1 : {tiles_[t].l1d.get(), tiles_[t].l1i.get()}) {
             if (!l1)
                 continue;
             for (const CacheLine* line : l1->validLines()) {
-                const CacheLine* l2line =
-                    tiles_[t].l2->find(line->lineAddr);
+                const CacheLine* l2line = l2.find(line->lineAddr);
                 if (l2line == nullptr)
                     return strfmt("inclusion violated: tile {} {} holds "
                                   "line {} absent from L2",
                                   t, l1->name(), line->lineAddr);
-                if (l2line->data != line->data)
+                if (!std::ranges::equal(l2.data(*l2line),
+                                        l1->data(*line)))
                     return strfmt("L1/L2 data mismatch on tile {} line "
                                   "{}",
                                   t, line->lineAddr);
@@ -1261,9 +1265,9 @@ MemorySystem::validateCoherence()
                 // Exclusive copies are clean: must match memory.
                 std::vector<std::uint8_t> mem(lineSize_);
                 backing_.read(line_addr, mem.data(), lineSize_);
-                const CacheLine* line =
-                    tiles_[h.exclusive.front()].l2->find(line_addr);
-                if (line->data != mem)
+                const Cache& l2 = *tiles_[h.exclusive.front()].l2;
+                if (!std::ranges::equal(l2.data(*l2.find(line_addr)),
+                                        mem))
                     return strfmt("exclusive line {} on tile {} "
                                   "differs from memory",
                                   line_addr, h.exclusive.front());
@@ -1283,8 +1287,9 @@ MemorySystem::validateCoherence()
             std::vector<std::uint8_t> mem(lineSize_);
             backing_.read(line_addr, mem.data(), lineSize_);
             for (tile_id_t t : h.shared) {
-                const CacheLine* line = tiles_[t].l2->find(line_addr);
-                if (line->data != mem)
+                const Cache& l2 = *tiles_[t].l2;
+                if (!std::ranges::equal(l2.data(*l2.find(line_addr)),
+                                        mem))
                     return strfmt("shared line {} on tile {} differs "
                                   "from memory",
                                   line_addr, t);

@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -389,9 +390,10 @@ class MemorySystem
     /**
      * The coherence transaction every timed access runs: plan under the
      * tile lock, lock the shards and holders, revalidate, commit.
-     * @p commit(CacheLine&) is the hit action, applied to a line held
-     * with enough permission; @p l1 is the L1 looked up first (nullptr
-     * to bypass it, as atomics do); @p kind labels the miss span.
+     * @p commit(std::span<std::uint8_t>) is the hit action, applied to
+     * the bytes of a line held with enough permission; @p l1 is the L1
+     * looked up first (nullptr to bypass it, as atomics do); @p kind
+     * labels the miss span.
      */
     template <class Commit>
     AccessResult transact(tile_id_t tile, Cache* l1, bool is_write,
@@ -438,9 +440,13 @@ class MemorySystem
                             bool for_write, addr_t addr, size_t size,
                             cycle_t now, MissClass& miss_class);
 
-    /** Invalidate every cached copy at @p holder (L2 + L1s). */
-    void invalidateTile(tile_id_t holder, addr_t line_addr,
-                        bool coherence, std::vector<std::uint8_t>* data_out);
+    /**
+     * Invalidate every cached copy at @p holder (L2 + L1s).
+     * @return the L2 copy's bytes (still in its slab), empty if absent.
+     */
+    std::span<const std::uint8_t> invalidateTile(tile_id_t holder,
+                                                 addr_t line_addr,
+                                                 bool coherence);
 
     /** Handle an L2 victim: writeback + directory update (off path). */
     void handleL2Eviction(tile_id_t tile, const Eviction& ev,
@@ -463,10 +469,11 @@ class MemorySystem
     /**
      * Keep a write-through L1 in step with its L2 line after an access
      * to [@p addr, +@p size): allocate a Shared copy when absent, or
-     * copy a write's bytes into the present one.
+     * copy a write's bytes into the present one. @p l2data is the L2
+     * line's bytes.
      */
-    void refreshL1(Cache* l1, const CacheLine& l2line, bool is_write,
-                   addr_t addr, size_t size);
+    void refreshL1(Cache* l1, std::span<const std::uint8_t> l2data,
+                   bool is_write, addr_t addr, size_t size);
 
     ClusterTopology topo_;
     NetworkFabric& fabric_;

@@ -1,6 +1,8 @@
 #include "common/lockdep.h"
 #include "network/network.h"
 
+#include <algorithm>
+
 #include "check/fault.h"
 #include "common/config.h"
 #include "common/log.h"
@@ -55,7 +57,8 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
     : topo_(topo),
       progress_(std::max<size_t>(
           cfg.getInt("network/queue_model_window", 64),
-          static_cast<size_t>(topo.totalTiles())))
+          static_cast<size_t>(topo.totalTiles()))),
+      locality_(static_cast<std::size_t>(topo.totalTiles()))
 {
     auto make = [&](const char* key, const char* dflt) {
         return NetworkModel::create(cfg.getString(key, dflt),
@@ -71,8 +74,8 @@ NetworkFabric::NetworkFabric(const ClusterTopology& topo,
     if (cfg.getBool("network/record_traffic_matrix", true)) {
         size_t n = static_cast<size_t>(topo_.totalTiles()) *
                    static_cast<size_t>(topo_.totalTiles());
-        msgMatrix_ = std::vector<std::atomic<stat_t>>(n);
-        byteMatrix_ = std::vector<std::atomic<stat_t>>(n);
+        msgMatrix_ = ZeroArray<stat_t>(n);
+        byteMatrix_ = ZeroArray<stat_t>(n);
     }
 }
 
@@ -88,18 +91,17 @@ NetworkFabric::modelEx(PacketType type, tile_id_t src, tile_id_t dst,
                        size_t bytes, cycle_t send_time)
 {
     if (!msgMatrix_.empty() && type != PacketType::System) {
-        size_t idx = static_cast<size_t>(src) * topo_.totalTiles() + dst;
-        msgMatrix_[idx].fetch_add(1, std::memory_order_relaxed);
-        byteMatrix_[idx].fetch_add(bytes, std::memory_order_relaxed);
+        cell(msgMatrix_, src, dst).fetch_add(1, std::memory_order_relaxed);
+        cell(byteMatrix_, src, dst)
+            .fetch_add(bytes, std::memory_order_relaxed);
     }
-    LocalityCounters& ctr = counters_[static_cast<int>(type)];
-    if (topo_.sameProcess(src, dst)) {
-        ctr.intraMsgs.fetch_add(1, std::memory_order_relaxed);
-        ctr.intraBytes.fetch_add(bytes, std::memory_order_relaxed);
-    } else {
-        ctr.interMsgs.fetch_add(1, std::memory_order_relaxed);
-        ctr.interBytes.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    const auto shard = static_cast<std::size_t>(src);
+    const bool intra = topo_.sameProcess(src, dst);
+    locality_.add(shard,
+                  localityIndex(type, intra ? INTRA_MSGS : INTER_MSGS), 1);
+    locality_.add(shard,
+                  localityIndex(type, intra ? INTRA_BYTES : INTER_BYTES),
+                  bytes);
     return modelFor(type).computeLatencyEx(src, dst, bytes, send_time);
 }
 
@@ -122,43 +124,39 @@ NetworkFabric::modelFor(PacketType type) const
 stat_t
 NetworkFabric::intraProcessMessages(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].intraMsgs.load();
+    return locality_.sum(localityIndex(type, INTRA_MSGS));
 }
 
 stat_t
 NetworkFabric::interProcessMessages(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].interMsgs.load();
+    return locality_.sum(localityIndex(type, INTER_MSGS));
 }
 
 stat_t
 NetworkFabric::intraProcessBytes(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].intraBytes.load();
+    return locality_.sum(localityIndex(type, INTRA_BYTES));
 }
 
 stat_t
 NetworkFabric::interProcessBytes(PacketType type) const
 {
-    return counters_[static_cast<int>(type)].interBytes.load();
+    return locality_.sum(localityIndex(type, INTER_BYTES));
 }
 
 stat_t
 NetworkFabric::pairMessages(tile_id_t src, tile_id_t dst) const
 {
     GRAPHITE_ASSERT(!msgMatrix_.empty());
-    return msgMatrix_[static_cast<size_t>(src) * topo_.totalTiles() +
-                      dst]
-        .load();
+    return cell(msgMatrix_, src, dst).load(std::memory_order_relaxed);
 }
 
 stat_t
 NetworkFabric::pairBytes(tile_id_t src, tile_id_t dst) const
 {
     GRAPHITE_ASSERT(!byteMatrix_.empty());
-    return byteMatrix_[static_cast<size_t>(src) * topo_.totalTiles() +
-                       dst]
-        .load();
+    return cell(byteMatrix_, src, dst).load(std::memory_order_relaxed);
 }
 
 void
@@ -169,17 +167,15 @@ NetworkFabric::saveState(snapshot::SnapshotWriter& w) const
         w.str(model->name());
         model->saveState(w);
     }
-    for (const LocalityCounters& c : counters_) {
-        w.u64(c.intraMsgs.load(std::memory_order_relaxed));
-        w.u64(c.interMsgs.load(std::memory_order_relaxed));
-        w.u64(c.intraBytes.load(std::memory_order_relaxed));
-        w.u64(c.interBytes.load(std::memory_order_relaxed));
-    }
+    // Totals only: the per-tile split is not part of the state.
+    for (std::size_t i = 0; i < NUM_LOCALITY * NUM_PACKET_TYPES; ++i)
+        w.u64(locality_.sum(i));
+    // Saved at quiescence, so plain reads of the matrices are safe.
     w.u64(static_cast<std::uint64_t>(msgMatrix_.size()));
-    for (const auto& v : msgMatrix_)
-        w.u64(v.load(std::memory_order_relaxed));
-    for (const auto& v : byteMatrix_)
-        w.u64(v.load(std::memory_order_relaxed));
+    for (stat_t v : msgMatrix_)
+        w.u64(v);
+    for (stat_t v : byteMatrix_)
+        w.u64(v);
 }
 
 void
@@ -195,22 +191,22 @@ NetworkFabric::loadState(snapshot::SnapshotReader& r)
                        name, model->name()));
         model->loadState(r);
     }
-    for (LocalityCounters& c : counters_) {
-        c.intraMsgs.store(r.u64(), std::memory_order_relaxed);
-        c.interMsgs.store(r.u64(), std::memory_order_relaxed);
-        c.intraBytes.store(r.u64(), std::memory_order_relaxed);
-        c.interBytes.store(r.u64(), std::memory_order_relaxed);
-    }
+    for (std::size_t i = 0; i < NUM_LOCALITY * NUM_PACKET_TYPES; ++i)
+        locality_.assign(i, r.u64());
     std::uint64_t matrix = r.u64();
     if (matrix != msgMatrix_.size())
         throw snapshot::SnapshotError(
             strfmt("snapshot: traffic-matrix size mismatch "
                    "(snapshot {}, configured {})",
                    matrix, msgMatrix_.size()));
-    for (auto& v : msgMatrix_)
-        v.store(r.u64(), std::memory_order_relaxed);
-    for (auto& v : byteMatrix_)
-        v.store(r.u64(), std::memory_order_relaxed);
+    // Zero entries are only written over a nonzero one, so a restored
+    // matrix stays lazily backed.
+    auto restore = [&](stat_t& v) {
+        if (stat_t x = r.u64(); x != 0 || v != 0)
+            v = x;
+    };
+    std::ranges::for_each(msgMatrix_, restore);
+    std::ranges::for_each(byteMatrix_, restore);
 }
 
 // ------------------------------------------------------------------ Network

@@ -29,6 +29,7 @@
 
 #include "common/fixed_types.h"
 #include "common/lockdep.h"
+#include "common/zero_array.h"
 #include "network/global_progress.h"
 #include "network/net_packet.h"
 #include "network/network_model.h"
@@ -123,22 +124,43 @@ class NetworkFabric
     /** @} */
 
   private:
-    struct LocalityCounters
+    /** Locality counters of one packet type, at 4 * type + kind. */
+    enum Locality : std::size_t
     {
-        std::atomic<stat_t> intraMsgs{0};
-        std::atomic<stat_t> interMsgs{0};
-        std::atomic<stat_t> intraBytes{0};
-        std::atomic<stat_t> interBytes{0};
+        INTRA_MSGS,
+        INTER_MSGS,
+        INTRA_BYTES,
+        INTER_BYTES,
+        NUM_LOCALITY
     };
+    static std::size_t
+    localityIndex(PacketType type, Locality kind)
+    {
+        return static_cast<std::size_t>(type) * NUM_LOCALITY + kind;
+    }
+
+    /** Traffic-matrix entry (src, dst), viewed atomically. */
+    std::atomic_ref<stat_t>
+    cell(const ZeroArray<stat_t>& m, tile_id_t src, tile_id_t dst) const
+    {
+        // The pages are always writable; const only marks the readers.
+        return std::atomic_ref<stat_t>(const_cast<stat_t&>(
+            m[static_cast<std::size_t>(src) * topo_.totalTiles() + dst]));
+    }
 
     ClusterTopology topo_;
     GlobalProgress progress_;
     std::atomic<std::int64_t> inflightApp_{0};
     std::array<std::unique_ptr<NetworkModel>, NUM_PACKET_TYPES> models_;
-    std::array<LocalityCounters, NUM_PACKET_TYPES> counters_;
-    /** N*N atomic counters, src-major; empty when recording disabled. */
-    std::vector<std::atomic<stat_t>> msgMatrix_;
-    std::vector<std::atomic<stat_t>> byteMatrix_;
+    /** Sharded by source tile. */
+    ShardedCounters<NUM_LOCALITY * NUM_PACKET_TYPES> locality_;
+    /**
+     * N*N counters, src-major, updated through std::atomic_ref; empty
+     * when recording is disabled. Zero-on-demand pages, so only the
+     * rows of tiles that send cost memory.
+     */
+    ZeroArray<stat_t> msgMatrix_;
+    ZeroArray<stat_t> byteMatrix_;
 };
 
 /**

@@ -31,10 +31,10 @@ MeshShape::hops(tile_id_t src, tile_id_t dst) const
 // ------------------------------------------------------- MagicNetworkModel
 
 cycle_t
-MagicNetworkModel::computeLatency(tile_id_t, tile_id_t, size_t bytes,
+MagicNetworkModel::computeLatency(tile_id_t src, tile_id_t, size_t bytes,
                                   cycle_t)
 {
-    account(bytes, 0, 0);
+    account(src, bytes, 0, 0);
     return 0;
 }
 
@@ -43,7 +43,8 @@ MagicNetworkModel::computeLatency(tile_id_t, tile_id_t, size_t bytes,
 EMeshHopNetworkModel::EMeshHopNetworkModel(tile_id_t total_tiles,
                                            cycle_t hop_latency,
                                            size_t link_bandwidth_bytes)
-    : shape_(total_tiles),
+    : NetworkModel(total_tiles),
+      shape_(total_tiles),
       hopLatency_(hop_latency),
       linkBandwidth_(link_bandwidth_bytes)
 {
@@ -73,7 +74,7 @@ EMeshHopNetworkModel::computeLatencyEx(tile_id_t src, tile_id_t dst,
     bd.hop = static_cast<cycle_t>(bd.hops) * hopLatency_;
     bd.serialization = serializationCycles(bytes);
     bd.total = bd.hop + bd.serialization;
-    account(bytes, bd.total, bd.hops);
+    account(src, bytes, bd.total, bd.hops);
     return bd;
 }
 
@@ -126,7 +127,7 @@ EMeshContentionNetworkModel::computeLatencyEx(tile_id_t src,
         ++bd.hops;
     });
     bd.total = latency;
-    account(bytes, latency, bd.hops);
+    account(src, bytes, latency, bd.hops);
     return bd;
 }
 
@@ -144,19 +145,15 @@ EMeshContentionNetworkModel::totalContentionDelay() const
 void
 NetworkModel::saveState(snapshot::SnapshotWriter& w) const
 {
-    w.u64(packets_.load(std::memory_order_relaxed));
-    w.u64(bytes_.load(std::memory_order_relaxed));
-    w.u64(latency_.load(std::memory_order_relaxed));
-    w.u64(hops_.load(std::memory_order_relaxed));
+    for (std::size_t i = 0; i < NUM; ++i)
+        w.u64(counters_.sum(i));
 }
 
 void
 NetworkModel::loadState(snapshot::SnapshotReader& r)
 {
-    packets_.store(r.u64(), std::memory_order_relaxed);
-    bytes_.store(r.u64(), std::memory_order_relaxed);
-    latency_.store(r.u64(), std::memory_order_relaxed);
-    hops_.store(r.u64(), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < NUM; ++i)
+        counters_.assign(i, r.u64());
 }
 
 void
@@ -190,7 +187,7 @@ NetworkModel::create(const std::string& type, tile_id_t total_tiles,
                      const Config& cfg, GlobalProgress* progress)
 {
     if (type == "magic")
-        return std::make_unique<MagicNetworkModel>();
+        return std::make_unique<MagicNetworkModel>(total_tiles);
 
     cycle_t hop = cfg.getInt("network/hop_latency", 2);
     size_t bw = cfg.getInt("network/link_bandwidth_bytes", 8);

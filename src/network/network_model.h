@@ -111,6 +111,11 @@ struct NetBreakdown
 class NetworkModel
 {
   public:
+    /** @param total_tiles packet sources; one counter shard each. */
+    explicit NetworkModel(tile_id_t total_tiles)
+        : counters_(static_cast<std::size_t>(total_tiles))
+    {
+    }
     virtual ~NetworkModel() = default;
 
     /**
@@ -144,11 +149,11 @@ class NetworkModel
     /** Human-readable model name (matches the config value). */
     virtual std::string name() const = 0;
 
-    /** @name Aggregate statistics @{ */
-    stat_t packetsRouted() const { return packets_.load(); }
-    stat_t bytesRouted() const { return bytes_.load(); }
-    stat_t totalLatency() const { return latency_.load(); }
-    stat_t totalHops() const { return hops_.load(); }
+    /** @name Aggregate statistics (summed over source tiles) @{ */
+    stat_t packetsRouted() const { return counters_.sum(PACKETS); }
+    stat_t bytesRouted() const { return counters_.sum(BYTES); }
+    stat_t totalLatency() const { return counters_.sum(LATENCY); }
+    stat_t totalHops() const { return counters_.sum(HOPS); }
     /** @} */
 
     /**
@@ -171,26 +176,28 @@ class NetworkModel
            const Config& cfg, GlobalProgress* progress);
 
   protected:
+    /** Count one packet against its source tile's shard. */
     void
-    account(size_t bytes, cycle_t latency, int hops)
+    account(tile_id_t src, size_t bytes, cycle_t latency, int hops)
     {
-        packets_.fetch_add(1, std::memory_order_relaxed);
-        bytes_.fetch_add(bytes, std::memory_order_relaxed);
-        latency_.fetch_add(latency, std::memory_order_relaxed);
-        hops_.fetch_add(hops, std::memory_order_relaxed);
+        const auto shard = static_cast<std::size_t>(src);
+        counters_.add(shard, PACKETS, 1);
+        counters_.add(shard, BYTES, bytes);
+        counters_.add(shard, LATENCY, latency);
+        counters_.add(shard, HOPS, static_cast<stat_t>(hops));
     }
 
   private:
-    std::atomic<stat_t> packets_{0};
-    std::atomic<stat_t> bytes_{0};
-    std::atomic<stat_t> latency_{0};
-    std::atomic<stat_t> hops_{0};
+    enum Counter : std::size_t { PACKETS, BYTES, LATENCY, HOPS, NUM };
+    ShardedCounters<NUM> counters_;
 };
 
 /** Zero-latency model for simulator-internal traffic. */
 class MagicNetworkModel : public NetworkModel
 {
   public:
+    using NetworkModel::NetworkModel;
+
     cycle_t computeLatency(tile_id_t src, tile_id_t dst, size_t bytes,
                            cycle_t send_time) override;
     std::string name() const override { return "magic"; }

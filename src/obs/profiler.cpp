@@ -1,9 +1,12 @@
 #include "common/lockdep.h"
 #include "obs/profiler.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstring>
 
+#include "common/strfmt.h"
 #include "common/table.h"
 
 namespace graphite
@@ -86,7 +89,14 @@ HostProfiler::report() const
                                   2),
                    TextTable::num(e.maxNs / 1e3, 2)});
     }
-    return table.render();
+    // ru_maxrss is the process's high-water resident set, in KiB.
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return table.render() +
+           strfmt("peak rss          : {} MB\n",
+                  TextTable::num(static_cast<double>(ru.ru_maxrss) /
+                                     1024.0,
+                                 1));
 }
 
 } // namespace obs

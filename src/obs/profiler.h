@@ -73,7 +73,8 @@ class HostProfiler
 
     /**
      * Render the self-profile table, sites sorted by total time
-     * descending; sites never entered are omitted.
+     * descending (sites never entered are omitted), then the process's
+     * peak resident set size so far ("peak rss : N MB", getrusage).
      */
     std::string report() const;
 

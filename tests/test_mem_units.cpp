@@ -6,6 +6,11 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <random>
 
 #include "common/log.h"
 #include "mem/address_space.h"
@@ -20,10 +25,36 @@ namespace graphite
 namespace
 {
 
-std::vector<std::uint8_t>
-lineOf(std::uint8_t fill, size_t n = 64)
+/** A replaced line, its bytes copied out before the fill reused them. */
+struct Victim
 {
-    return std::vector<std::uint8_t>(n, fill);
+    addr_t lineAddr;
+    bool dirty;
+    std::vector<std::uint8_t> bytes;
+};
+
+/** Insert @p line_addr and fill all its bytes with @p fill. */
+std::optional<Victim>
+put(Cache& c, addr_t line_addr, CacheState state, std::uint8_t fill)
+{
+    Insertion ins = c.insert(line_addr, state);
+    EXPECT_EQ(ins.data.size(), c.lineSize());
+    std::optional<Victim> v;
+    if (ins.victim)
+        v = Victim{ins.victim->lineAddr, ins.victim->dirty,
+                   {ins.victim->data.begin(), ins.victim->data.end()}};
+    std::ranges::fill(ins.data, fill);
+    return v;
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+std::int64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * sysconf(_SC_PAGESIZE);
 }
 
 // ------------------------------------------------------------------- Cache
@@ -32,10 +63,10 @@ TEST(Cache, HitAfterInsert)
 {
     Cache c("t", 1024, 2, 64);
     EXPECT_EQ(c.access(0x100, false), nullptr); // miss
-    c.insert(0x100, CacheState::Shared, lineOf(7));
+    put(c, 0x100, CacheState::Shared, 7);
     CacheLine* line = c.access(0x104, false); // same line, offset 4
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->data[4], 7);
+    EXPECT_EQ(c.data(*line)[4], 7);
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 1u);
 }
@@ -43,10 +74,10 @@ TEST(Cache, HitAfterInsert)
 TEST(Cache, WriteProbeNeedsModified)
 {
     Cache c("t", 1024, 2, 64);
-    c.insert(0x100, CacheState::Shared, lineOf(1));
+    put(c, 0x100, CacheState::Shared, 1);
     EXPECT_EQ(c.access(0x100, /*is_write=*/true), nullptr); // S, no M
     c.invalidate(0x100);
-    c.insert(0x100, CacheState::Modified, lineOf(1));
+    put(c, 0x100, CacheState::Modified, 1);
     EXPECT_NE(c.access(0x100, true), nullptr);
 }
 
@@ -54,10 +85,10 @@ TEST(Cache, LruEvictsOldest)
 {
     // 2-way, 64B lines, 2 sets => set stride 128.
     Cache c("t", 256, 2, 64);
-    c.insert(0x000, CacheState::Shared, lineOf(1));
-    c.insert(0x100, CacheState::Shared, lineOf(2)); // same set 0
-    c.access(0x000, false);                          // touch 0x000
-    auto ev = c.insert(0x200, CacheState::Shared, lineOf(3));
+    put(c, 0x000, CacheState::Shared, 1);
+    put(c, 0x100, CacheState::Shared, 2); // same set 0
+    c.access(0x000, false);               // touch 0x000
+    auto ev = put(c, 0x200, CacheState::Shared, 3);
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->lineAddr, 0x100u); // LRU victim
     EXPECT_FALSE(ev->dirty);
@@ -66,20 +97,22 @@ TEST(Cache, LruEvictsOldest)
 TEST(Cache, DirtyEvictionCarriesData)
 {
     Cache c("t", 128, 1, 64); // direct-mapped, 2 sets
-    c.insert(0x000, CacheState::Modified, lineOf(9));
-    auto ev = c.insert(0x100, CacheState::Shared, lineOf(1));
+    put(c, 0x000, CacheState::Modified, 9);
+    auto ev = put(c, 0x100, CacheState::Shared, 1);
     ASSERT_TRUE(ev.has_value());
     EXPECT_TRUE(ev->dirty);
-    EXPECT_EQ(ev->data[0], 9);
+    EXPECT_EQ(ev->bytes, std::vector<std::uint8_t>(64, 9));
 }
 
 TEST(Cache, InvalidateReturnsData)
 {
     Cache c("t", 1024, 2, 64);
-    c.insert(0x40, CacheState::Modified, lineOf(5));
+    put(c, 0x40, CacheState::Modified, 5);
     auto ev = c.invalidate(0x40);
     ASSERT_TRUE(ev.has_value());
     EXPECT_TRUE(ev->dirty);
+    EXPECT_TRUE(std::ranges::equal(ev->data,
+                                   std::vector<std::uint8_t>(64, 5)));
     EXPECT_EQ(c.find(0x40), nullptr);
     EXPECT_FALSE(c.invalidate(0x40).has_value()); // already gone
 }
@@ -87,12 +120,131 @@ TEST(Cache, InvalidateReturnsData)
 TEST(Cache, DowngradeKeepsSharedCopy)
 {
     Cache c("t", 1024, 2, 64);
-    c.insert(0x80, CacheState::Modified, lineOf(3));
+    put(c, 0x80, CacheState::Modified, 3);
     auto data = c.downgrade(0x80);
-    ASSERT_TRUE(data.has_value());
-    EXPECT_EQ((*data)[0], 3);
+    EXPECT_TRUE(
+        std::ranges::equal(data, std::vector<std::uint8_t>(64, 3)));
     EXPECT_EQ(c.find(0x80)->state, CacheState::Shared);
-    EXPECT_FALSE(c.downgrade(0x80).has_value()); // already S
+    EXPECT_TRUE(std::ranges::equal(c.data(*c.find(0x80)), data));
+    EXPECT_TRUE(c.downgrade(0x80).empty()); // already S
+}
+
+TEST(Cache, DataRoundTripsThroughEveryWay)
+{
+    // 4 ways x 4 sets of 32-byte lines; set stride is 128 bytes.
+    Cache c("t", 512, 4, 32);
+    auto pattern = [](addr_t a, std::uint64_t i) {
+        return static_cast<std::uint8_t>(a / 32 * 7 + i);
+    };
+    std::vector<addr_t> lines;
+    for (addr_t set = 0; set < 4; ++set)
+        for (addr_t way = 0; way < 4; ++way)
+            lines.push_back(set * 32 + way * 128);
+    for (addr_t a : lines) {
+        Insertion ins = c.insert(a, CacheState::Modified);
+        EXPECT_FALSE(ins.victim.has_value());
+        for (std::uint64_t i = 0; i < 32; ++i)
+            ins.data[i] = pattern(a, i);
+    }
+    // Every way of every set reads back its own bytes.
+    for (addr_t a : lines) {
+        const CacheLine* line = c.find(a);
+        ASSERT_NE(line, nullptr);
+        for (std::uint64_t i = 0; i < 32; ++i)
+            ASSERT_EQ(c.data(*line)[i], pattern(a, i)) << a << "+" << i;
+    }
+    EXPECT_EQ(c.validLines().size(), 16u);
+}
+
+TEST(Cache, EvictInvalidateAndDowngradeReturnTheVictimsBytes)
+{
+    Cache c("t", 512, 4, 32);
+    auto expect_bytes = [](std::span<const std::uint8_t> got,
+                           std::uint8_t fill) {
+        EXPECT_TRUE(
+            std::ranges::equal(got, std::vector<std::uint8_t>(32, fill)));
+    };
+    // Fill set 0's four ways, each with its own byte.
+    for (std::uint8_t w = 0; w < 4; ++w)
+        put(c, w * 128, CacheState::Modified, 0x10 + w);
+
+    // Way 1 is downgraded (keeps its bytes), way 2 invalidated.
+    expect_bytes(c.downgrade(128), 0x11);
+    auto inv = c.invalidate(256);
+    ASSERT_TRUE(inv.has_value());
+    expect_bytes(inv->data, 0x12);
+
+    // The freed way is reused without an eviction ...
+    EXPECT_FALSE(put(c, 4 * 128, CacheState::Shared, 0x14).has_value());
+    // ... then the LRU line (way 0) is evicted with its bytes.
+    auto ev = put(c, 5 * 128, CacheState::Shared, 0x15);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->lineAddr, 0u);
+    EXPECT_TRUE(ev->dirty);
+    EXPECT_EQ(ev->bytes, std::vector<std::uint8_t>(32, 0x10));
+    // A clean victim hands over its bytes too.
+    ev = put(c, 6 * 128, CacheState::Shared, 0x16);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->lineAddr, 128u);
+    EXPECT_FALSE(ev->dirty);
+    EXPECT_EQ(ev->bytes, std::vector<std::uint8_t>(32, 0x11));
+}
+
+TEST(Cache, LruVictimsMatchAReferenceModel)
+{
+    // Reference: per set, lines ordered least- to most-recently used.
+    constexpr int kSets = 4, kWays = 3;
+    std::mt19937_64 rng(12345);
+    for (int round = 0; round < 20; ++round) {
+        Cache c("t", kSets * kWays * 64, kWays, 64);
+        std::vector<std::vector<addr_t>> ref(kSets);
+        for (int op = 0; op < 400; ++op) {
+            addr_t a = (rng() % 40) * 64;
+            auto& set = ref[(a / 64) % kSets];
+            auto it = std::ranges::find(set, a);
+            if (it != set.end()) {
+                ASSERT_NE(c.access(a, false), nullptr);
+                set.erase(it);
+                set.push_back(a);
+                continue;
+            }
+            std::optional<addr_t> want;
+            if (set.size() == kWays) {
+                want = set.front();
+                set.erase(set.begin());
+            }
+            ASSERT_EQ(c.peekVictim(a), want);
+            auto ev = put(c, a, CacheState::Shared,
+                          static_cast<std::uint8_t>(a / 64));
+            ASSERT_EQ(ev.has_value(), want.has_value());
+            if (ev) {
+                EXPECT_EQ(ev->lineAddr, *want);
+                EXPECT_EQ(ev->bytes, std::vector<std::uint8_t>(
+                                         64, static_cast<std::uint8_t>(
+                                                 *want / 64)));
+            }
+            set.push_back(a);
+        }
+    }
+}
+
+TEST(Cache, BuildingALargeCacheTouchesNoMemory)
+{
+    // A paper-sized L2 (3 MB, 24-way): its tags and data slab are
+    // mapped, not initialised, so construction adds almost nothing to
+    // the resident set; a sparse fill touches only what it writes.
+    const std::int64_t before = residentBytes();
+    Cache l2("l2", 3 << 20, 24, 64);
+    EXPECT_LT(residentBytes() - before, 1 << 20);
+    for (addr_t a = 0; a < 64 * 64; a += 64)
+        put(l2, a, CacheState::Shared, 1);
+    EXPECT_LT(residentBytes() - before, 1 << 20);
+    // One line in every set: all 1.2 MB of tags, but only way 0's
+    // 128 KB of the way-major slab (a set-major slab would be 3 MB).
+    for (addr_t a = 0; a < l2.numSets() * 64; a += 64)
+        if (l2.find(a) == nullptr)
+            put(l2, a, CacheState::Shared, 1);
+    EXPECT_LT(residentBytes() - before, 2 << 20);
 }
 
 TEST(Cache, BadGeometryIsFatal)

@@ -330,7 +330,7 @@ TEST(MeshShape, RouteWalkMatchesReferenceForEveryPair)
 
 TEST(NetworkModel, MagicIsFree)
 {
-    MagicNetworkModel magic;
+    MagicNetworkModel magic(16);
     EXPECT_EQ(magic.computeLatency(0, 5, 100, 42), 0u);
     EXPECT_EQ(magic.packetsRouted(), 1u);
 }

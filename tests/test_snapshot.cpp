@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "common/log.h"
 #include "core/api.h"
 #include "core/simulator.h"
+#include "mem/cache.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/snapshot.h"
 
@@ -227,6 +229,59 @@ TEST(SnapshotCheckpoint, SaveRestoreSaveIsByteIdentical)
                                               ckpt, quickOpts());
     EXPECT_TRUE(res.violations.empty()) << res.violations.front();
     EXPECT_NE(res.fingerprint, 0u);
+}
+
+TEST(SnapshotCheckpoint, CacheLinesKeepThePerLineByteRunLayout)
+{
+    // A cache with a valid, an invalidated and never-used lines. The
+    // stream must be the format-1 layout (count, LRU clock, four
+    // counters, then per line: address, state, stamp and a byte run of
+    // lineSize bytes when valid, 0 when not), and save -> load -> save
+    // must reproduce it byte for byte.
+    Cache c("l1", 256, 2, 64); // 2 sets x 2 ways
+    std::ranges::fill(c.insert(0x000, CacheState::Modified).data, 0xA5);
+    std::ranges::fill(c.insert(0x040, CacheState::Shared).data, 0x5A);
+    c.invalidate(0x040);
+    auto save = [](const Cache& cache) {
+        snapshot::SnapshotWriter w;
+        cache.saveState(w);
+        return w.finish();
+    };
+    const std::vector<std::uint8_t> blob = save(c);
+
+    snapshot::SnapshotWriter expect;
+    for (std::uint64_t v : {4, 2, 0, 0, 0, 1})
+        expect.u64(v); // lines, LRU clock, accesses..invalidations
+    const std::vector<std::uint8_t> a5(64, 0xA5);
+    // Set 0: way 0 valid (0x000, M, stamp 1), way 1 never used.
+    expect.u64(0x000);
+    expect.u8(static_cast<std::uint8_t>(CacheState::Modified));
+    expect.u64(1);
+    expect.bytes(a5.data(), a5.size());
+    expect.u64(0);
+    expect.u8(0);
+    expect.u64(0);
+    expect.bytes(nullptr, 0);
+    // Set 1: way 0 invalidated (keeps address and stamp), way 1 unused.
+    expect.u64(0x040);
+    expect.u8(static_cast<std::uint8_t>(CacheState::Invalid));
+    expect.u64(2);
+    expect.bytes(nullptr, 0);
+    expect.u64(0);
+    expect.u8(0);
+    expect.u64(0);
+    expect.bytes(nullptr, 0);
+    EXPECT_EQ(blob, expect.finish());
+
+    Cache restored("l1", 256, 2, 64);
+    snapshot::SnapshotReader r(blob);
+    restored.loadState(r);
+    EXPECT_NO_THROW(r.expectEnd());
+    EXPECT_EQ(save(restored), blob);
+    const CacheLine* line = restored.find(0x000);
+    ASSERT_NE(line, nullptr);
+    EXPECT_TRUE(std::ranges::equal(restored.data(*line), a5));
+    EXPECT_EQ(restored.find(0x040), nullptr);
 }
 
 TEST(SnapshotCheckpoint, ConfigDriftIsRejectedWithNamedErrors)
